@@ -40,7 +40,7 @@ int main() {
       for (const AcceleratorConfig& config : cs.enumerate()) {
         if (config.dataflow != df) continue;
         const EvalResult r =
-            evaluator.evaluate(CandidateDesign{model.genotype, config});
+            evaluator.evaluate(CandidateDesign{model.genotype, config, {}});
         const double score = reward.compute(r);
         if (score > best_reward) {
           best_reward = score;

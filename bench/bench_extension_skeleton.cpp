@@ -3,18 +3,19 @@
 // Table 1 lists <N_Cells, R_cells> among the co-design variables; the
 // paper's experiments fix the skeleton to 6 blocks and a fixed stem width.
 // This bench compares the fixed-skeleton 44-action search against the
-// 46-action extended search (network depth and stem width become actions)
-// under a *tight* energy budget, where shrinking the skeleton is the only
-// way to stay feasible without giving up the whole accuracy budget.
+// 46-action searched-skeleton space (network depth and stem width become
+// actions), both run by the same YosoSearch, under a *tight* energy budget,
+// where shrinking the skeleton is the only way to stay feasible without
+// giving up the whole accuracy budget.
 
 #include <iostream>
 
+#include "accel/config.h"
 #include "accel/simulator.h"
 #include "arch/network.h"
 #include "bench_common.h"
 #include "core/design_space.h"
 #include "core/evaluator.h"
-#include "core/extended_space.h"
 #include "core/reward.h"
 #include "core/search.h"
 
@@ -44,12 +45,13 @@ int main() {
   const SearchResult fixed =
       YosoSearch(fixed_space, opt).run(fixed_fast, &fixed_accurate);
 
-  // Extended search.
-  ExtendedDesignSpace ext_space;
-  ExtendedFastEvaluator ext_fast(ext_space, simulator, scaled(500, 150), 2);
-  ExtendedAccurateEvaluator ext_accurate;
-  const ExtendedSearchResult ext =
-      ExtendedSearch(ext_space, opt).run(ext_fast, &ext_accurate);
+  // Searched skeleton: the same driver and evaluators over 46 actions.
+  DesignSpace ext_space(default_config_space(), SkeletonAxis::kSearched);
+  FastEvaluator ext_fast(ext_space, skeleton, simulator,
+                         {.predictor_samples = scaled(500, 150), .seed = 2});
+  AccurateEvaluator ext_accurate(skeleton);
+  const SearchResult ext =
+      YosoSearch(ext_space, opt).run(ext_fast, &ext_accurate);
 
   TextTable table({"space", "err %", "E (mJ)", "L (ms)", "cells", "stem",
                    "feasible", "config"});
@@ -67,15 +69,16 @@ int main() {
                    b.candidate.config.to_string()});
   }
   {
-    const ExtendedRanked& b = ext.best.value();
+    const RankedCandidate& b = ext.best.value();
+    const NetworkSkeleton& searched = skeleton_for(b.candidate.skeleton);
     table.add_row({"searched skeleton",
                    TextTable::fmt((1.0 - b.accurate_result.accuracy) * 100.0,
                                   2),
                    TextTable::fmt(b.accurate_result.energy_mj, 2),
                    TextTable::fmt(b.accurate_result.latency_ms, 2),
                    TextTable::fmt_int(static_cast<long long>(
-                       b.candidate.skeleton.cells.size())),
-                   TextTable::fmt_int(b.candidate.skeleton.stem_channels),
+                       searched.cells.size())),
+                   TextTable::fmt_int(searched.stem_channels),
                    b.feasible ? "yes" : "no",
                    b.candidate.config.to_string()});
   }

@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/json_escape.h"
+
 namespace yoso {
 
 class BenchJson {
@@ -18,7 +20,7 @@ class BenchJson {
 
   /// A key/value on the top-level object.
   void field(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, quote(value));
+    fields_.emplace_back(key, json_quote(value));
   }
   void field(const std::string& key, double value) {
     fields_.emplace_back(key, number(value));
@@ -28,13 +30,13 @@ class BenchJson {
   /// fill it until the next record().
   void record(const std::string& label) {
     records_.emplace_back();
-    records_.back().emplace_back("label", quote(label));
+    records_.back().emplace_back("label", json_quote(label));
   }
   void value(const std::string& key, double v) {
     records_.back().emplace_back(key, number(v));
   }
   void value(const std::string& key, const std::string& v) {
-    records_.back().emplace_back(key, quote(v));
+    records_.back().emplace_back(key, json_quote(v));
   }
 
   /// Writes BENCH_<name>.json; returns the path (empty on failure).
@@ -42,13 +44,13 @@ class BenchJson {
     const std::string path = "BENCH_" + name_ + ".json";
     std::ofstream out(path);
     if (!out) return "";
-    out << "{\n  \"bench\": " << quote(name_);
-    for (const auto& [k, v] : fields_) out << ",\n  " << quote(k) << ": " << v;
+    out << "{\n  \"bench\": " << json_quote(name_);
+    for (const auto& [k, v] : fields_) out << ",\n  " << json_quote(k) << ": " << v;
     out << ",\n  \"results\": [";
     for (std::size_t r = 0; r < records_.size(); ++r) {
       out << (r == 0 ? "\n" : ",\n") << "    {";
       for (std::size_t i = 0; i < records_[r].size(); ++i)
-        out << (i == 0 ? "" : ", ") << quote(records_[r][i].first) << ": "
+        out << (i == 0 ? "" : ", ") << json_quote(records_[r][i].first) << ": "
             << records_[r][i].second;
       out << "}";
     }
@@ -57,14 +59,6 @@ class BenchJson {
   }
 
  private:
-  static std::string quote(const std::string& s) {
-    std::string q = "\"";
-    for (const char c : s) {
-      if (c == '"' || c == '\\') q += '\\';
-      q += c;
-    }
-    return q + "\"";
-  }
   static std::string number(double v) {
     std::ostringstream ss;
     ss.precision(10);

@@ -4,6 +4,8 @@
 
 #include "arch/genotype.h"
 #include "arch/ops.h"
+#include "base/contract.h"
+#include "util/rng.h"
 
 namespace yoso {
 
@@ -28,6 +30,43 @@ NetworkSkeleton tiny_skeleton(int input_hw, int stem_channels) {
   s.input_channels = 3;
   s.num_classes = 10;
   return s;
+}
+
+const NetworkSkeleton& skeleton_for(SkeletonChoice choice) {
+  constexpr int kNormals = static_cast<int>(kSearchedNormalsPerStage.size());
+  constexpr int kStems = static_cast<int>(kSearchedStemChannels.size());
+  YOSO_REQUIRE(choice.normals >= 0 && choice.normals < kNormals &&
+                   choice.stem >= 0 && choice.stem < kStems,
+               "skeleton_for: choice (", int{choice.normals}, ", ",
+               int{choice.stem}, ") out of range");
+  static const auto table = [] {
+    std::array<NetworkSkeleton,
+               kSearchedNormalsPerStage.size() * kSearchedStemChannels.size()>
+        t;
+    for (std::size_t d = 0; d < kSearchedNormalsPerStage.size(); ++d) {
+      for (std::size_t w = 0; w < kSearchedStemChannels.size(); ++w) {
+        NetworkSkeleton& s = t[d * kSearchedStemChannels.size() + w];
+        const auto normals =
+            static_cast<std::size_t>(kSearchedNormalsPerStage[d]);
+        s = default_skeleton();
+        s.cells.assign(2 * (normals + 1), CellKind::kNormal);  // N^d R N^d R
+        s.cells[normals] = CellKind::kReduction;
+        s.cells.back() = CellKind::kReduction;
+        s.stem_channels = kSearchedStemChannels[w];
+      }
+    }
+    return t;
+  }();
+  return table[static_cast<std::size_t>(choice.normals * kStems + choice.stem)];
+}
+
+SkeletonChoice random_skeleton_choice(Rng& rng) {
+  SkeletonChoice c;
+  c.normals = static_cast<std::int8_t>(rng.uniform_int(
+      0, static_cast<int>(kSearchedNormalsPerStage.size()) - 1));
+  c.stem = static_cast<std::int8_t>(
+      rng.uniform_int(0, static_cast<int>(kSearchedStemChannels.size()) - 1));
+  return c;
 }
 
 std::int64_t Layer::macs() const {

@@ -11,11 +11,13 @@
 // the loose-end nodes, and the filter count doubles after each reduction
 // cell while the spatial size halves.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "arch/genotype.h"
+#include "util/rng.h"
 
 namespace yoso {
 
@@ -36,6 +38,43 @@ NetworkSkeleton default_skeleton();
 
 /// A reduced skeleton for CPU-scale real-training runs (tests/examples).
 NetworkSkeleton tiny_skeleton(int input_hw = 12, int stem_channels = 8);
+
+/// The searchable skeleton axis (Table 1's <N_Cells, R_cells> plus the stem
+/// width): normal cells per stage, and filters of the first normal cells.
+inline constexpr std::array<int, 3> kSearchedNormalsPerStage = {1, 2, 3};
+inline constexpr std::array<int, 3> kSearchedStemChannels = {16, 24, 32};
+
+/// Whether a design space fixes the skeleton (the paper's experiments) or
+/// searches it along the axis above.
+enum class SkeletonAxis { kFixed, kSearched };
+
+/// A candidate's skeleton choice: indices into the two lists above.  The
+/// default (unset) choice means "whatever skeleton the evaluator was built
+/// on", which is how every fixed-skeleton search scores its candidates.
+struct SkeletonChoice {
+  static constexpr std::int8_t kUnset = -1;
+  std::int8_t normals = kUnset;  ///< index into kSearchedNormalsPerStage
+  std::int8_t stem = kUnset;     ///< index into kSearchedStemChannels
+
+  bool is_set() const { return normals != kUnset || stem != kUnset; }
+  bool operator==(const SkeletonChoice&) const = default;
+};
+
+/// The paper-style N^d R N^d R skeleton of a set choice, on
+/// default_skeleton()'s input and classifier shape.  Returns a reference
+/// into a table built once, so per-candidate resolution never allocates;
+/// ContractViolation when an index is out of range.
+const NetworkSkeleton& skeleton_for(SkeletonChoice choice);
+
+/// A uniform draw over the axis: normals index, then stem index.
+SkeletonChoice random_skeleton_choice(Rng& rng);
+
+/// The skeleton a candidate is scored on: its own choice when set, else
+/// `fallback` (the evaluator's skeleton).
+inline const NetworkSkeleton& resolve_skeleton(
+    SkeletonChoice choice, const NetworkSkeleton& fallback) {
+  return choice.is_set() ? skeleton_for(choice) : fallback;
+}
 
 /// Concrete layer kinds the accelerator simulator understands.
 enum class LayerKind { kConv, kDwConv, kPool, kFullyConnected };

@@ -85,7 +85,8 @@ void BayesOptSearch::search(SearchLoop& loop, Rng& rng) {
   const NetworkSkeleton skeleton = default_skeleton();
 
   auto features_of = [&](const CandidateDesign& c) {
-    return codesign_features(c.genotype, c.config, skeleton);
+    return codesign_features(c.genotype, c.config,
+                             resolve_skeleton(c.skeleton, skeleton));
   };
 
   auto refit = [&]() {

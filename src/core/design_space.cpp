@@ -1,11 +1,14 @@
 #include "core/design_space.h"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "accel/config.h"
 #include "arch/encoding.h"
 #include "arch/genotype.h"
+#include "arch/network.h"
+#include "base/contract.h"
 #include "util/rng.h"
 
 namespace yoso {
@@ -32,14 +35,31 @@ std::string candidate_key(const CandidateDesign& candidate) {
   put16(candidate.config.g_buf_kb);
   put16(candidate.config.r_buf_bytes);
   put8(static_cast<int>(candidate.config.dataflow));
+  // Fixed-skeleton keys are unchanged; a set choice appends two bytes, so
+  // the two kinds never collide.
+  if (candidate.skeleton.is_set()) {
+    put8(candidate.skeleton.normals);
+    put8(candidate.skeleton.stem);
+  }
   return key;
 }
 
-DesignSpace::DesignSpace(ConfigSpace config_space)
-    : config_space_(std::move(config_space)), dnn_steps_(dnn_action_steps()) {}
+namespace {
+
+constexpr int kSkeletonActions = 2;
+constexpr int kNormalsCard = static_cast<int>(kSearchedNormalsPerStage.size());
+constexpr int kStemCard = static_cast<int>(kSearchedStemChannels.size());
+
+}  // namespace
+
+DesignSpace::DesignSpace(ConfigSpace config_space, SkeletonAxis skeleton_axis)
+    : config_space_(std::move(config_space)),
+      skeleton_axis_(skeleton_axis),
+      dnn_steps_(dnn_action_steps()) {}
 
 int DesignSpace::num_actions() const {
-  return kDnnActionCount + ConfigSpace::kActionCount;
+  return kDnnActionCount + ConfigSpace::kActionCount +
+         (skeleton_axis_ == SkeletonAxis::kSearched ? kSkeletonActions : 0);
 }
 
 std::vector<int> DesignSpace::cardinalities() const {
@@ -48,6 +68,10 @@ std::vector<int> DesignSpace::cardinalities() const {
   for (const ActionStep& s : dnn_steps_) cards.push_back(s.cardinality);
   for (int a = 0; a < ConfigSpace::kActionCount; ++a)
     cards.push_back(config_space_.cardinality(a));
+  if (skeleton_axis_ == SkeletonAxis::kSearched) {
+    cards.push_back(kNormalsCard);
+    cards.push_back(kStemCard);
+  }
   return cards;
 }
 
@@ -59,6 +83,10 @@ std::vector<std::string> DesignSpace::action_names() const {
   names.push_back("hw.g_buf");
   names.push_back("hw.r_buf");
   names.push_back("hw.dataflow");
+  if (skeleton_axis_ == SkeletonAxis::kSearched) {
+    names.push_back("skel.normals_per_stage");
+    names.push_back("skel.stem_channels");
+  }
   return names;
 }
 
@@ -69,14 +97,33 @@ CandidateDesign DesignSpace::decode(const std::vector<int>& actions) const {
   CandidateDesign c;
   c.genotype = decode_genotype(
       std::span<const int>(actions).first(kDnnActionCount));
-  const std::vector<int> hw(actions.begin() + kDnnActionCount, actions.end());
+  const auto hw_begin = actions.begin() + kDnnActionCount;
+  const std::vector<int> hw(hw_begin, hw_begin + ConfigSpace::kActionCount);
   c.config = config_space_.decode(hw);
+  if (skeleton_axis_ == SkeletonAxis::kSearched) {
+    const int normals = actions[actions.size() - 2];
+    const int stem = actions.back();
+    YOSO_REQUIRE(normals >= 0 && normals < kNormalsCard && stem >= 0 &&
+                     stem < kStemCard,
+                 "DesignSpace::decode: skeleton actions (", normals, ", ",
+                 stem, ") out of range");
+    c.skeleton = {static_cast<std::int8_t>(normals),
+                  static_cast<std::int8_t>(stem)};
+  }
   return c;
 }
 
 std::vector<int> DesignSpace::encode(const CandidateDesign& candidate) const {
+  const bool searched = skeleton_axis_ == SkeletonAxis::kSearched;
+  if (candidate.skeleton.is_set() != searched)
+    throw std::invalid_argument(
+        "DesignSpace::encode: skeleton choice does not match the space");
   std::vector<int> actions = encode_genotype(candidate.genotype);
   for (int a : config_space_.encode(candidate.config)) actions.push_back(a);
+  if (searched) {
+    actions.push_back(candidate.skeleton.normals);
+    actions.push_back(candidate.skeleton.stem);
+  }
   return actions;
 }
 
@@ -88,12 +135,19 @@ CandidateDesign DesignSpace::random_candidate(Rng& rng) const {
     hw[static_cast<std::size_t>(a)] =
         rng.uniform_int(0, config_space_.cardinality(a) - 1);
   c.config = config_space_.decode(hw);
+  // Skeleton draws come after the config draws, so a fixed space consumes
+  // exactly the stream it always has.
+  if (skeleton_axis_ == SkeletonAxis::kSearched)
+    c.skeleton = random_skeleton_choice(rng);
   return c;
 }
 
 double DesignSpace::log10_size() const {
-  return std::log10(genotype_space_size()) +
-         std::log10(static_cast<double>(config_space_.size()));
+  double size = std::log10(genotype_space_size()) +
+                std::log10(static_cast<double>(config_space_.size()));
+  if (skeleton_axis_ == SkeletonAxis::kSearched)
+    size += std::log10(static_cast<double>(kNormalsCard * kStemCard));
+  return size;
 }
 
 }  // namespace yoso

@@ -4,6 +4,12 @@
 // accelerator parameters, 44 actions total.  This module concatenates the
 // DNN action space (src/arch) and the hardware action space (src/accel)
 // into one sequence for the RL controller.
+//
+// Table 1 also lists the skeleton <N_Cells, R_cells> among the co-design
+// variables, which the paper's experiments fix.  A space built with
+// SkeletonAxis::kSearched appends two skeleton actions (normal cells per
+// stage, stem width; arch/network.h), 46 actions total; its candidates carry
+// their own SkeletonChoice, which every evaluator resolves.
 
 #include <string>
 #include <vector>
@@ -11,6 +17,7 @@
 #include "accel/config.h"
 #include "arch/encoding.h"
 #include "arch/genotype.h"
+#include "arch/network.h"
 #include "util/rng.h"
 
 namespace yoso {
@@ -19,6 +26,9 @@ namespace yoso {
 struct CandidateDesign {
   Genotype genotype;
   AcceleratorConfig config;
+  /// Set only in a searched-skeleton space; unset means the candidate is
+  /// scored on the evaluator's own skeleton.
+  SkeletonChoice skeleton;
 
   bool operator==(const CandidateDesign&) const = default;
 };
@@ -31,14 +41,17 @@ std::string candidate_key(const CandidateDesign& candidate);
 
 class DesignSpace {
  public:
-  explicit DesignSpace(ConfigSpace config_space = default_config_space());
+  explicit DesignSpace(ConfigSpace config_space = default_config_space(),
+                       SkeletonAxis skeleton_axis = SkeletonAxis::kFixed);
 
   const ConfigSpace& config_space() const { return config_space_; }
+  SkeletonAxis skeleton_axis() const { return skeleton_axis_; }
 
-  /// Number of actions (44 for the paper's space).
+  /// Number of actions (44 for the paper's space, 46 with the skeleton).
   int num_actions() const;
 
-  /// Per-step action cardinalities, DNN first then hardware.
+  /// Per-step action cardinalities, DNN first, then hardware, then (when
+  /// searched) the two skeleton actions.
   std::vector<int> cardinalities() const;
 
   /// Human-readable names of each action step.
@@ -47,7 +60,8 @@ class DesignSpace {
   /// Actions -> candidate; throws on malformed input.
   CandidateDesign decode(const std::vector<int>& actions) const;
 
-  /// Candidate -> actions.
+  /// Candidate -> actions; throws when the candidate's skeleton choice is
+  /// set in a fixed space or unset in a searched one.
   std::vector<int> encode(const CandidateDesign& candidate) const;
 
   /// Uniform random candidate.
@@ -59,6 +73,7 @@ class DesignSpace {
 
  private:
   ConfigSpace config_space_;
+  SkeletonAxis skeleton_axis_;
   std::vector<ActionStep> dnn_steps_;
 };
 

@@ -4,6 +4,7 @@
 #include <string_view>
 
 #include "accel/simulator.h"
+#include "arch/genotype.h"
 #include "arch/network.h"
 #include "base/contract.h"
 #include "core/design_space.h"
@@ -48,10 +49,12 @@ FastEvaluator::FastEvaluator(const DesignSpace& space,
                  options.inducing_points),
       exec_(options.exec != nullptr ? std::move(options.exec)
                                     : ExecContext::serial()) {
+  YOSO_REQUIRE(options.predictor_samples > 0,
+               "FastEvaluator: predictor_samples must be positive");
   Rng rng(options.seed);
-  const auto samples =
-      collect_samples(options.predictor_samples, simulator,
-                      space.config_space(), skeleton, rng, &pool());
+  const auto samples = collect_samples(
+      options.predictor_samples, simulator, space.config_space(), skeleton,
+      rng, &pool(), space.skeleton_axis());
   predictor_.fit(samples);
 }
 
@@ -78,7 +81,8 @@ FastEvaluator::FastEvaluator(AccuracyModel accuracy,
 bool FastEvaluator::refine(const CandidateDesign& candidate,
                            const EvalResult& accurate) {
   if (!predictor_.refine(candidate.genotype, candidate.config,
-                         accurate.latency_ms, accurate.energy_mj))
+                         accurate.latency_ms, accurate.energy_mj,
+                         candidate.skeleton))
     return false;
   // Every memoized latency/energy prediction predates the refinement; a
   // stale hit would silently diverge from what evaluate() now computes, so
@@ -94,14 +98,17 @@ void FastEvaluator::set_exec_context(ExecContextPtr exec) {
 }
 
 EvalResult FastEvaluator::evaluate(const CandidateDesign& candidate) {
+  const Genotype& g = candidate.genotype;
   EvalResult r;
-  r.accuracy = accuracy_.hypernet_accuracy(candidate.genotype);
+  r.accuracy = accuracy_.hypernet_accuracy(
+      g, ArchFeatures::compute(
+             g, resolve_skeleton(candidate.skeleton, accuracy_.skeleton())));
   r.latency_ms = std::max(
-      1e-3, predictor_.predict_latency_ms(candidate.genotype,
-                                          candidate.config));
+      1e-3, predictor_.predict_latency_ms(g, candidate.config,
+                                          candidate.skeleton));
   r.energy_mj = std::max(
       1e-3,
-      predictor_.predict_energy_mj(candidate.genotype, candidate.config));
+      predictor_.predict_energy_mj(g, candidate.config, candidate.skeleton));
   return r;
 }
 
@@ -173,8 +180,9 @@ std::vector<EvalResult> FastEvaluator::evaluate_batch(
       // the layer-extraction work the old split-phase path paid.
       return pool().submit(0, cnt, [&, lo, buf](std::size_t j) {
         const CandidateDesign& cand = batch[miss[lo + j]];
-        const ArchFeatures af =
-            ArchFeatures::compute(cand.genotype, predictor_.skeleton());
+        const ArchFeatures af = ArchFeatures::compute(
+            cand.genotype,
+            resolve_skeleton(cand.skeleton, predictor_.skeleton()));
         acc[buf][j] = accuracy_.hypernet_accuracy(cand.genotype, af);
         codesign_features_into(af, cand.config, feats[buf].data() + j * dim);
       });
@@ -235,11 +243,15 @@ void AccurateEvaluator::set_exec_context(ExecContextPtr exec) {
 }
 
 EvalResult AccurateEvaluator::evaluate(const CandidateDesign& candidate) {
+  const Genotype& g = candidate.genotype;
+  const NetworkSkeleton& skeleton =
+      resolve_skeleton(candidate.skeleton, skeleton_);
   EvalResult r;
-  r.accuracy = 1.0 - accuracy_.test_error(candidate.genotype) / 100.0;
+  r.accuracy =
+      1.0 - accuracy_.test_error(g, ArchFeatures::compute(g, skeleton)) /
+                100.0;
   const SimulationResult sim =
-      simulator_.simulate_network(candidate.genotype, skeleton_,
-                                  candidate.config);
+      simulator_.simulate_network(g, skeleton, candidate.config);
   r.latency_ms = sim.latency_ms;
   r.energy_mj = sim.energy_mj;
   return r;

@@ -14,6 +14,11 @@
 // Both share one interface so the search driver is evaluator-agnostic, and
 // the HyperNet-backed evaluator in examples/ plugs in the same way.
 //
+// Each is built on one skeleton.  A candidate from a searched-skeleton
+// space (core/design_space.h) carries its own SkeletonChoice, which both
+// evaluators resolve through the precomputed table in arch/network.h; an
+// unset choice scores the candidate on the evaluator's own skeleton.
+//
 // Parallelism comes from one injected ExecContext (util/exec_context.h):
 // evaluators never own a pool, so a Fast+Accurate pair sharing a context
 // shares its workers instead of oversubscribing the machine.  A null /
@@ -86,13 +91,6 @@ class Evaluator {
                       const EvalResult& /*accurate*/) {
     return false;
   }
-
-  /// Deprecated shim (one release): forwards to set_exec_context with a
-  /// fresh context of `threads` total threads (0 = all hardware threads).
-  /// Prefer constructing one ExecContext and sharing it between evaluators.
-  void set_parallelism(std::size_t threads) {
-    set_exec_context(ExecContext::create(threads));
-  }
 };
 
 /// Step-1 construction knobs for the fast evaluator.
@@ -112,7 +110,9 @@ class FastEvaluator : public Evaluator {
   /// Builds the evaluator: collects `predictor_samples` simulator samples
   /// and fits the energy + latency GPs (paper Step 1).  Sample simulation
   /// fans out across `options.exec`; the candidate draws stay on one RNG
-  /// stream so the collected set is thread-count independent.
+  /// stream so the collected set is thread-count independent.  A searched-
+  /// skeleton `space` draws every sample's skeleton too, so the GPs cover
+  /// the whole skeleton axis.  ContractViolation on zero samples.
   FastEvaluator(const DesignSpace& space, const NetworkSkeleton& skeleton,
                 const SystolicSimulator& simulator,
                 FastEvaluatorOptions options = {});

@@ -30,13 +30,15 @@ const char* layer_kind_name(LayerKind kind) {
 }  // namespace
 
 std::string render_design_report(const SearchResult& result,
-                                 const NetworkSkeleton& skeleton,
+                                 const NetworkSkeleton& search_skeleton,
                                  const RewardParams& reward,
                                  const ReportOptions& options) {
   if (!result.best.has_value())
     throw std::invalid_argument("render_design_report: no best candidate");
   const RankedCandidate& best = *result.best;
   const CandidateDesign& design = best.candidate;
+  const NetworkSkeleton& skeleton =
+      resolve_skeleton(design.skeleton, search_skeleton);
 
   std::ostringstream os;
   os << "# YOSO co-design report\n\n";

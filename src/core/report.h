@@ -20,7 +20,8 @@ struct ReportOptions {
 };
 
 /// Renders a markdown report for the best candidate of a search result.
-/// `skeleton` must be the skeleton the search evaluated against.
+/// `skeleton` must be the skeleton the search evaluated against; a winner
+/// from a searched-skeleton space is reported on its own skeleton.
 /// Throws std::invalid_argument when the result has no best candidate.
 std::string render_design_report(const SearchResult& result,
                                  const NetworkSkeleton& skeleton,

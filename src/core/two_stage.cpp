@@ -24,7 +24,7 @@ TwoStageRow two_stage_best_config(const ReferenceModel& model,
   bool any_feasible = false;
 
   for (const AcceleratorConfig& config : space.config_space().enumerate()) {
-    CandidateDesign candidate{model.genotype, config};
+    CandidateDesign candidate{model.genotype, config, {}};
     const EvalResult r = evaluator.evaluate(candidate);
     const double score = reward.compute(r);
     const bool ok = reward.feasible(r);

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "base/contract.h"
+#include "base/json_escape.h"
 
 namespace yoso {
 namespace obs {
@@ -28,15 +29,6 @@ void atomic_add(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
-}
-
-std::string json_quote(const std::string& s) {
-  std::string q = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') q += '\\';
-    q += c;
-  }
-  return q + "\"";
 }
 
 std::string json_number(double v) {

@@ -11,6 +11,7 @@
 
 #include "obs/timebase.h"
 #include "base/contract.h"
+#include "base/json_escape.h"
 #include "base/thread_annotations.h"
 
 namespace yoso {
@@ -200,15 +201,6 @@ class TraceCollector {
       YOSO_GUARDED_BY(mutex_);
   std::size_t capacity_ YOSO_GUARDED_BY(mutex_) = kDefaultRingCapacity;
 };
-
-std::string json_quote(const char* s) {
-  std::string q = "\"";
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') q += '\\';
-    q += *s;
-  }
-  return q + "\"";
-}
 
 }  // namespace
 

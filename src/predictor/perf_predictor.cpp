@@ -58,11 +58,13 @@ std::vector<PerfSample> collect_samples(std::size_t count,
                                         const SystolicSimulator& simulator,
                                         const ConfigSpace& space,
                                         const NetworkSkeleton& skeleton,
-                                        Rng& rng, ThreadPool* pool) {
+                                        Rng& rng, ThreadPool* pool,
+                                        SkeletonAxis axis) {
   YOSO_TRACE_SPAN("step1.collect_samples");
   obs::counter_add("step1.samples", count);
   // Serial phase: all RNG draws, in the same per-sample order as the old
-  // fully-serial loop (genotype first, then the config actions).
+  // fully-serial loop (genotype first, then the config actions, then the
+  // skeleton choice when it is searched).
   std::vector<PerfSample> samples(count);
   std::vector<int> actions(ConfigSpace::kActionCount);  // overwritten per sample
   for (std::size_t i = 0; i < count; ++i) {
@@ -72,6 +74,8 @@ std::vector<PerfSample> collect_samples(std::size_t count,
       actions[static_cast<std::size_t>(a)] =
           rng.uniform_int(0, space.cardinality(a) - 1);
     s.config = space.decode(actions);
+    if (axis == SkeletonAxis::kSearched)
+      s.skeleton = random_skeleton_choice(rng);
   }
   // Parallel phase: simulation dominates collection cost and is read-only.
   // The injected pool is shared with the rest of the framework
@@ -80,11 +84,12 @@ std::vector<PerfSample> collect_samples(std::size_t count,
   (pool != nullptr ? *pool : inline_pool)
       .parallel_for(0, count, [&](std::size_t i) {
         PerfSample& s = samples[i];
+        const NetworkSkeleton& net = resolve_skeleton(s.skeleton, skeleton);
         const SimulationResult r =
-            simulator.simulate_network(s.genotype, skeleton, s.config);
+            simulator.simulate_network(s.genotype, net, s.config);
         s.energy_mj = r.energy_mj;
         s.latency_ms = r.latency_ms;
-        s.features = codesign_features(s.genotype, s.config, skeleton);
+        s.features = codesign_features(s.genotype, s.config, net);
       });
   return samples;
 }
@@ -125,9 +130,11 @@ void PerformancePredictor::fit(const std::vector<PerfSample>& samples) {
 
 bool PerformancePredictor::refine(const Genotype& g,
                                   const AcceleratorConfig& config,
-                                  double latency_ms, double energy_mj) {
+                                  double latency_ms, double energy_mj,
+                                  SkeletonChoice skeleton) {
   if (!supports_refinement()) return false;
-  const std::vector<double> f = codesign_features(g, config, skeleton_);
+  const std::vector<double> f =
+      codesign_features(g, config, resolve_skeleton(skeleton, skeleton_));
   // Same log transform as fit(); updating both models with the same input
   // row keeps their training fingerprints in lockstep.
   latency_gp_.update(f, std::log(std::max(latency_ms, 1e-9)));
@@ -137,32 +144,19 @@ bool PerformancePredictor::refine(const Genotype& g,
 }
 
 double PerformancePredictor::predict_energy_mj(
-    const Genotype& g, const AcceleratorConfig& config) const {
+    const Genotype& g, const AcceleratorConfig& config,
+    SkeletonChoice skeleton) const {
   if (!fitted_) throw std::logic_error("PerformancePredictor: not fitted");
-  return std::exp(energy_gp_.predict(codesign_features(g, config, skeleton_)));
+  return std::exp(energy_gp_.predict(
+      codesign_features(g, config, resolve_skeleton(skeleton, skeleton_))));
 }
 
 double PerformancePredictor::predict_latency_ms(
-    const Genotype& g, const AcceleratorConfig& config) const {
+    const Genotype& g, const AcceleratorConfig& config,
+    SkeletonChoice skeleton) const {
   if (!fitted_) throw std::logic_error("PerformancePredictor: not fitted");
-  return std::exp(
-      latency_gp_.predict(codesign_features(g, config, skeleton_)));
-}
-
-std::vector<double> PerformancePredictor::predict_energy_mj_batch(
-    const Matrix& features, ThreadPool* pool) const {
-  if (!fitted_) throw std::logic_error("PerformancePredictor: not fitted");
-  std::vector<double> out = energy_gp_.predict_batch(features, pool);
-  for (double& v : out) v = std::exp(v);
-  return out;
-}
-
-std::vector<double> PerformancePredictor::predict_latency_ms_batch(
-    const Matrix& features, ThreadPool* pool) const {
-  if (!fitted_) throw std::logic_error("PerformancePredictor: not fitted");
-  std::vector<double> out = latency_gp_.predict_batch(features, pool);
-  for (double& v : out) v = std::exp(v);
-  return out;
+  return std::exp(latency_gp_.predict(
+      codesign_features(g, config, resolve_skeleton(skeleton, skeleton_))));
 }
 
 void PerformancePredictor::predict_latency_energy_batch(

@@ -40,20 +40,22 @@ void codesign_features_into(const ArchFeatures& af,
 struct PerfSample {
   Genotype genotype;
   AcceleratorConfig config;
+  SkeletonChoice skeleton;  ///< set only when the skeleton axis is searched
   std::vector<double> features;
   double energy_mj = 0.0;
   double latency_ms = 0.0;
 };
 
-/// Draws `count` uniform random (genotype, config) pairs and simulates them.
+/// Draws `count` uniform random (genotype, config) pairs and simulates them
+/// on `skeleton`.  With a searched skeleton axis each sample also draws its
+/// own SkeletonChoice (after its config actions) and is simulated on that.
 /// The draws always consume `rng` on the calling thread in sample order;
 /// only the (read-only) simulation fans out across `pool` (null = inline),
 /// so the returned set is identical at any thread count.
-std::vector<PerfSample> collect_samples(std::size_t count,
-                                        const SystolicSimulator& simulator,
-                                        const ConfigSpace& space,
-                                        const NetworkSkeleton& skeleton,
-                                        Rng& rng, ThreadPool* pool = nullptr);
+std::vector<PerfSample> collect_samples(
+    std::size_t count, const SystolicSimulator& simulator,
+    const ConfigSpace& space, const NetworkSkeleton& skeleton, Rng& rng,
+    ThreadPool* pool = nullptr, SkeletonAxis axis = SkeletonAxis::kFixed);
 
 /// Splits samples into feature matrix + target vectors.
 struct SampleMatrix {
@@ -91,30 +93,21 @@ class PerformancePredictor {
   /// Fits both GPs on simulated samples.
   void fit(const std::vector<PerfSample>& samples);
 
-  double predict_energy_mj(const Genotype& g,
-                           const AcceleratorConfig& config) const;
+  /// Per-candidate predictions.  `skeleton` is the candidate's choice;
+  /// unset means the skeleton this predictor was built for.
+  double predict_energy_mj(const Genotype& g, const AcceleratorConfig& config,
+                           SkeletonChoice skeleton = {}) const;
   double predict_latency_ms(const Genotype& g,
-                            const AcceleratorConfig& config) const;
-
-  /// Batched predictions over pre-computed feature rows (one row per
-  /// candidate, from codesign_features).  One blocked K* product instead of
-  /// per-candidate scalar kernel dots; bit-identical to the per-candidate
-  /// calls at any thread count.  `pool` must not be a pool this thread is
-  /// already running a parallel_for on.
-  std::vector<double> predict_energy_mj_batch(const Matrix& features,
-                                              ThreadPool* pool = nullptr)
-      const;
-  std::vector<double> predict_latency_ms_batch(const Matrix& features,
-                                               ThreadPool* pool = nullptr)
-      const;
+                            const AcceleratorConfig& config,
+                            SkeletonChoice skeleton = {}) const;
 
   /// Fused batch prediction of both targets over `rows` contiguous raw
-  /// feature rows (row-major, kCodesignFeatureDim wide): because both GPs
-  /// are fitted on the same inputs, standardization and the K* squared-
-  /// distance panel are computed once and shared, roughly halving the
-  /// per-candidate GP cost versus the two separate *_batch calls.  Outputs
-  /// are bit-identical to predict_latency_ms_batch / predict_energy_mj_batch
-  /// at any thread count.
+  /// feature rows (row-major, kCodesignFeatureDim wide, from
+  /// codesign_features_into): because both GPs are fitted on the same
+  /// inputs, standardization and the K* squared-distance panel are computed
+  /// once and shared.  Outputs are bit-identical to the per-candidate
+  /// predict_latency_ms / predict_energy_mj at any thread count.  `pool`
+  /// must not be a pool this thread is already running a parallel_for on.
   void predict_latency_energy_batch(const double* features, std::size_t rows,
                                     ThreadPool* pool, double* latency_ms,
                                     double* energy_mj) const;
@@ -125,7 +118,8 @@ class PerformancePredictor {
   /// training inputs — keeps holding.  Returns false (a no-op) when the
   /// backend has no incremental path (exact) or before fit().
   bool refine(const Genotype& g, const AcceleratorConfig& config,
-              double latency_ms, double energy_mj);
+              double latency_ms, double energy_mj,
+              SkeletonChoice skeleton = {});
 
   /// True when refine() would apply: a fitted sparse-backend pair.
   bool supports_refinement() const {

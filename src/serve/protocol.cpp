@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "base/contract.h"
+#include "base/json_escape.h"
 
 namespace yoso {
 namespace serve {
@@ -222,29 +223,6 @@ class Parser {
   std::string error_;
 };
 
-void dump_string(const std::string& s, std::string& out) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void dump_number(double v, std::string& out) {
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
     out += std::to_string(static_cast<long long>(v));
@@ -271,7 +249,7 @@ void dump_value(const JsonValue& v, std::string& out) {
       dump_number(v.number_or(0.0), out);
       break;
     case JsonValue::Kind::kString:
-      dump_string(v.string_or(""), out);
+      append_json_string(out, v.string_or(""));
       break;
     case JsonValue::Kind::kArray: {
       out.push_back('[');
@@ -290,7 +268,7 @@ void dump_value(const JsonValue& v, std::string& out) {
       for (const auto& [key, member] : v.members()) {
         if (!first) out.push_back(',');
         first = false;
-        dump_string(key, out);
+        append_json_string(out, key);
         out.push_back(':');
         dump_value(member, out);
       }

@@ -59,10 +59,6 @@ AccuracyModel::AccuracyModel(NetworkSkeleton skeleton,
                              AccuracyModelParams params, std::uint64_t seed)
     : skeleton_(std::move(skeleton)), params_(params), seed_(seed) {}
 
-double AccuracyModel::clean_error(const Genotype& g) const {
-  return clean_error_from(ArchFeatures::compute(g, skeleton_));
-}
-
 double AccuracyModel::clean_error_from(const ArchFeatures& f) const {
   const AccuracyModelParams& p = params_;
 
@@ -107,8 +103,13 @@ double AccuracyModel::residual(const Genotype& g, std::uint64_t salt,
 }
 
 double AccuracyModel::test_error(const Genotype& g) const {
+  return test_error(g, ArchFeatures::compute(g, skeleton_));
+}
+
+double AccuracyModel::test_error(const Genotype& g,
+                                 const ArchFeatures& f) const {
   const double err =
-      clean_error(g) + residual(g, 0x7E57ull, params_.noise_sigma);
+      clean_error_from(f) + residual(g, 0x7E57ull, params_.noise_sigma);
   return std::clamp(err, params_.error_floor * 0.9, params_.error_ceil);
 }
 

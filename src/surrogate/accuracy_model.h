@@ -87,16 +87,19 @@ class AccuracyModel {
 
   /// Fully-trained test error, percent (e.g. 3.05 means 96.95 % accuracy).
   double test_error(const Genotype& g) const;
+  /// Same from pre-computed descriptors, as for hypernet_error below.
+  double test_error(const Genotype& g, const ArchFeatures& f) const;
 
   /// One-shot (HyperNet inherited-weight) validation error, percent.
   /// Correlated with test_error but noisier and offset, as in Fig 5(b).
   double hypernet_error(const Genotype& g) const;
 
-  /// Same score from pre-computed descriptors.  `f` must be
-  /// ArchFeatures::compute(g, skeleton()) — callers that already hold the
-  /// descriptors (the batched evaluator shares one ArchFeatures between the
-  /// accuracy proxy and the GP feature row) skip recomputing them here;
-  /// the returned value is bit-identical to hypernet_error(g).
+  /// Same score from pre-computed descriptors of `g` — callers that
+  /// already hold them (the batched evaluator shares one ArchFeatures
+  /// between the accuracy proxy and the GP feature row) skip recomputing
+  /// them here.  With f = ArchFeatures::compute(g, skeleton()) the value is
+  /// bit-identical to hypernet_error(g); descriptors on another skeleton
+  /// score `g` on that skeleton (the searched-skeleton path).
   double hypernet_error(const Genotype& g, const ArchFeatures& f) const;
 
   /// Convenience: validation accuracy in [0,1] from hypernet_error.
@@ -104,7 +107,6 @@ class AccuracyModel {
   double hypernet_accuracy(const Genotype& g, const ArchFeatures& f) const;
 
  private:
-  double clean_error(const Genotype& g) const;
   double clean_error_from(const ArchFeatures& f) const;
   double residual(const Genotype& g, std::uint64_t salt, double sigma) const;
 

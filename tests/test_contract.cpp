@@ -11,7 +11,8 @@
 #include "arch/network.h"
 #include "arch/zoo.h"
 #include "base/contract.h"
-#include "core/extended_space.h"
+#include "core/design_space.h"
+#include "core/evaluator.h"
 #include "core/reward.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
@@ -225,15 +226,24 @@ TEST(ContractCoverage, PredictBatchRejectsNullOutputs) {
 }
 
 TEST(ContractCoverage, SkeletonForRejectsOutOfRangeIndices) {
-  const ExtendedDesignSpace space;
-  EXPECT_THROW(space.skeleton_for(-1, 0), ContractViolation);
-  EXPECT_THROW(space.skeleton_for(0, 99), ContractViolation);
+  EXPECT_THROW(skeleton_for(SkeletonChoice{-1, 0}), ContractViolation);
+  EXPECT_THROW(skeleton_for(SkeletonChoice{0, 99}), ContractViolation);
+  EXPECT_THROW(skeleton_for(SkeletonChoice{3, 0}), ContractViolation);
 }
 
-TEST(ContractCoverage, ExtendedFastEvaluatorRejectsZeroSamples) {
-  const ExtendedDesignSpace space;
+TEST(ContractCoverage, SearchedSpaceDecodeRejectsOutOfRangeSkeleton) {
+  const DesignSpace space(default_config_space(), SkeletonAxis::kSearched);
+  std::vector<int> actions(static_cast<std::size_t>(space.num_actions()), 0);
+  actions.back() = 3;
+  EXPECT_THROW(space.decode(actions), ContractViolation);
+}
+
+TEST(ContractCoverage, FastEvaluatorRejectsZeroSamples) {
+  const DesignSpace space(default_config_space(), SkeletonAxis::kSearched);
   const SystolicSimulator sim({}, SimFidelity::kAnalytical);
-  EXPECT_THROW(ExtendedFastEvaluator(space, sim, 0, 7), ContractViolation);
+  EXPECT_THROW(FastEvaluator(space, default_skeleton(), sim,
+                             {.predictor_samples = 0, .seed = 7}),
+               ContractViolation);
 }
 
 #if !defined(NDEBUG) || defined(YOSO_ENABLE_DCHECKS)

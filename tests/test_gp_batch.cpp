@@ -16,6 +16,7 @@
 #include "linalg/matrix.h"
 #include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
+#include "surrogate/accuracy_model.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -144,27 +145,29 @@ TEST(GpBatchTest, PerformancePredictorBatchMatchesScalarPath) {
   PerformancePredictor pred(skeleton);
   pred.fit(samples);
 
-  // Query candidates distinct from the training draws.
+  // Query candidates distinct from the training draws; 300 rows cross the
+  // fused predict's 256-row chunk seam.
+  constexpr std::size_t kRows = 300;
   std::vector<Genotype> genos;
   std::vector<AcceleratorConfig> configs;
-  Matrix fx(24, codesign_features(samples.front().genotype,
-                                  samples.front().config, skeleton)
-                    .size());
-  for (std::size_t i = 0; i < fx.rows(); ++i) {
+  std::vector<double> fx(kRows * kCodesignFeatureDim);
+  for (std::size_t i = 0; i < kRows; ++i) {
     genos.push_back(random_genotype(rng));
     std::vector<int> actions(ConfigSpace::kActionCount);
     for (int a = 0; a < ConfigSpace::kActionCount; ++a)
       actions[static_cast<std::size_t>(a)] =
           rng.uniform_int(0, space.cardinality(a) - 1);
     configs.push_back(space.decode(actions));
-    const auto f = codesign_features(genos[i], configs[i], skeleton);
-    for (std::size_t c = 0; c < f.size(); ++c) fx(i, c) = f[c];
+    codesign_features_into(ArchFeatures::compute(genos[i], skeleton),
+                           configs[i], fx.data() + i * kCodesignFeatureDim);
   }
 
   ThreadPool pool(3);
-  const std::vector<double> lat = pred.predict_latency_ms_batch(fx, &pool);
-  const std::vector<double> en = pred.predict_energy_mj_batch(fx, &pool);
-  for (std::size_t i = 0; i < fx.rows(); ++i) {
+  std::vector<double> lat(kRows);
+  std::vector<double> en(kRows);
+  pred.predict_latency_energy_batch(fx.data(), kRows, &pool, lat.data(),
+                                    en.data());
+  for (std::size_t i = 0; i < kRows; ++i) {
     EXPECT_DOUBLE_EQ(lat[i], pred.predict_latency_ms(genos[i], configs[i]))
         << "cand " << i;
     EXPECT_DOUBLE_EQ(en[i], pred.predict_energy_mj(genos[i], configs[i]))
@@ -174,10 +177,12 @@ TEST(GpBatchTest, PerformancePredictorBatchMatchesScalarPath) {
 
 TEST(GpBatchTest, UnfittedPredictorBatchThrows) {
   PerformancePredictor pred(default_skeleton());
-  EXPECT_THROW(pred.predict_latency_ms_batch(Matrix(1, 21)),
-               std::logic_error);
-  EXPECT_THROW(pred.predict_energy_mj_batch(Matrix(1, 21)),
-               std::logic_error);
+  const std::vector<double> row(kCodesignFeatureDim);
+  double lat = 0.0;
+  double en = 0.0;
+  EXPECT_THROW(
+      pred.predict_latency_energy_batch(row.data(), 1, nullptr, &lat, &en),
+      std::logic_error);
 }
 
 }  // namespace

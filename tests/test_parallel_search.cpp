@@ -113,7 +113,7 @@ TEST_F(ParallelSearchTest, EmptyBatchReturnsEmpty) {
 }
 
 TEST_F(ParallelSearchTest, MemoizationCachesDistinctDesigns) {
-  fast_->set_parallelism(2);  // the deprecated shim must still route here
+  fast_->set_exec_context(ExecContext::create(2));
   EXPECT_EQ(fast_->parallelism(), 2u);
   fast_->clear_cache();
   Rng rng(6);

@@ -61,7 +61,7 @@ TEST_F(TwoStageTest, ChosenConfigIsRewardOptimal) {
   // feasibility class.
   for (const AcceleratorConfig& config : space_->config_space().enumerate()) {
     const EvalResult r =
-        evaluator_->evaluate(CandidateDesign{model.genotype, config});
+        evaluator_->evaluate(CandidateDesign{model.genotype, config, {}});
     if (row.feasible && !reward.feasible(r)) continue;
     if (!row.feasible && reward.feasible(r))
       FAIL() << "feasible config existed but was not chosen";
