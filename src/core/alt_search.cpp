@@ -32,7 +32,11 @@ void EvolutionarySearch::search(SearchLoop& loop, Rng& rng) {
     std::vector<int> actions;
     double reward = 0.0;
   };
-  std::deque<Member> population;
+  // Aging queue as a ring: member i (0 = oldest) is
+  // population[(oldest + i) % size], and a new child replaces the oldest.
+  std::vector<Member> population;
+  population.reserve(evolution_.population);
+  std::size_t oldest = 0;
 
   for (std::size_t it = 0; it < options_.iterations; ++it) {
     Member child;
@@ -45,7 +49,9 @@ void EvolutionarySearch::search(SearchLoop& loop, Rng& rng) {
       // Tournament: best of `tournament` random members is the parent.
       const Member* parent = nullptr;
       for (std::size_t s = 0; s < evolution_.tournament; ++s) {
-        const Member& m = population[rng.uniform_index(population.size())];
+        const Member& m =
+            population[(oldest + rng.uniform_index(population.size())) %
+                       population.size()];
         if (parent == nullptr || m.reward > parent->reward) parent = &m;
       }
       child.actions = parent->actions;
@@ -68,9 +74,12 @@ void EvolutionarySearch::search(SearchLoop& loop, Rng& rng) {
       }
     }
     child.reward = loop.submit(space_.decode(child.actions));
-    population.push_back(std::move(child));
-    if (population.size() > evolution_.population)
-      population.pop_front();  // aging: the oldest dies
+    if (population.size() < evolution_.population) {
+      population.push_back(std::move(child));
+    } else {  // aging: the oldest dies
+      population[oldest] = std::move(child);
+      oldest = (oldest + 1) % population.size();
+    }
   }
 }
 
@@ -78,7 +87,8 @@ void EvolutionarySearch::search(SearchLoop& loop, Rng& rng) {
 
 void BayesOptSearch::search(SearchLoop& loop, Rng& rng) {
   // Observations (features -> reward), windowed.
-  std::deque<std::pair<std::vector<double>, double>> observations;
+  std::vector<std::pair<std::vector<double>, double>> observations;
+  observations.reserve(bayes_.train_window + 1);
   GpRegressor gp;
   bool gp_ready = false;
   double best_reward = -1e300;
@@ -125,7 +135,8 @@ void BayesOptSearch::search(SearchLoop& loop, Rng& rng) {
     best_reward = std::max(best_reward, reward);
 
     observations.emplace_back(features_of(chosen), reward);
-    if (observations.size() > bayes_.train_window) observations.pop_front();
+    if (observations.size() > bayes_.train_window)
+      observations.erase(observations.begin());
     if (observations.size() >= bayes_.initial_random &&
         (it % bayes_.refit_every == 0 || !gp_ready))
       refit();

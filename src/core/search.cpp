@@ -37,9 +37,16 @@ void FinalistPool::offer(const CandidateDesign& candidate, double reward,
 
 std::vector<double> SearchLoop::submit(
     std::span<const CandidateDesign> batch) {
+  std::vector<double> rewards;
+  submit(batch, rewards);
+  return rewards;
+}
+
+void SearchLoop::submit(std::span<const CandidateDesign> batch,
+                        std::vector<double>& rewards) {
   const std::vector<EvalResult> evals = fast_.evaluate_batch(batch);
   ThreadRoleGuard coordinator(role_);
-  std::vector<double> rewards(batch.size());
+  rewards.resize(batch.size());
   if (options_.trace_every != 0 &&
       result_.trace.size() + batch.size() > result_.trace.capacity()) {
     // Geometric growth by hand: reserve() alone would force exact-fit
@@ -81,7 +88,6 @@ std::vector<double> SearchLoop::submit(
   }
   obs::counter_add("search.iterations", batch.size());
   obs::counter_add("search.batches");
-  return rewards;
 }
 
 double SearchLoop::submit(const CandidateDesign& candidate) {
@@ -169,6 +175,9 @@ void YosoSearch::search(SearchLoop& loop, Rng& rng) {
 
   std::vector<Episode> episodes;
   std::vector<CandidateDesign> batch;
+  std::vector<double> rewards;
+  episodes.reserve(std::min(round, options_.iterations));
+  batch.reserve(std::min(round, options_.iterations));
   std::size_t it = 0;
   while (it < options_.iterations) {
     const std::size_t k = std::min(round, options_.iterations - it);
@@ -178,7 +187,7 @@ void YosoSearch::search(SearchLoop& loop, Rng& rng) {
       episodes.push_back(trainer.propose(rng));
       batch.push_back(space_.decode(episodes.back().actions));
     }
-    const std::vector<double> rewards = loop.submit(batch);
+    loop.submit(batch, rewards);
     for (std::size_t j = 0; j < k; ++j)
       trainer.feedback(episodes[j], rewards[j]);
     it += k;
@@ -190,6 +199,7 @@ void RandomSearchDriver::search(SearchLoop& loop, Rng& rng) {
   const std::size_t round = std::max<std::size_t>(1, options_.batch_size);
 
   std::vector<CandidateDesign> batch;
+  batch.reserve(std::min(round, options_.iterations));
   std::size_t it = 0;
   while (it < options_.iterations) {
     const std::size_t k = std::min(round, options_.iterations - it);

@@ -154,6 +154,11 @@ class SearchLoop {
   /// order; returns the per-candidate rewards.
   std::vector<double> submit(std::span<const CandidateDesign> batch);
 
+  /// Same, writing the rewards into `rewards` (resized to the batch), so a
+  /// strategy's round loop can reuse one buffer.
+  void submit(std::span<const CandidateDesign> batch,
+              std::vector<double>& rewards);
+
   /// Single-candidate convenience for inherently sequential strategies.
   double submit(const CandidateDesign& candidate);
 
@@ -211,8 +216,9 @@ class SearchDriver {
 
 /// The paper's Step-2 driver: LSTM controller + REINFORCE.  Proposes
 /// options.batch_size episodes per round, evaluates the batch (pipelined
-/// across the injected ExecContext), then applies feedback in proposal
-/// order.
+/// across the injected ExecContext), then feeds the rewards back in
+/// proposal order; the round is one policy-gradient step, applied by the
+/// next round's first proposal (rl/reinforce.h).
 class YosoSearch : public SearchDriver {
  public:
   YosoSearch(const DesignSpace& space, SearchOptions options)

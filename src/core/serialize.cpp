@@ -7,6 +7,8 @@
 
 #include "accel/config.h"
 #include "arch/genotype.h"
+#include "arch/network.h"
+#include "base/contract.h"
 #include "core/design_space.h"
 
 namespace yoso {
@@ -47,6 +49,29 @@ std::string expect_prefix(const std::string& text, const std::string& prefix,
     throw std::invalid_argument("parse error: expected '" + prefix +
                                 "' in " + what + ", got '" + text + "'");
   return text.substr(prefix.size());
+}
+
+/// "<normals>x<stem>" in cell and channel counts; each must be a value of
+/// the searched skeleton axis.
+SkeletonChoice parse_skeleton_choice(const std::string& text) {
+  const auto parts = split(text, 'x');
+  if (parts.size() != 2)
+    throw std::invalid_argument(
+        "parse error: skeleton needs '<normals>x<stem>', got '" + text + "'");
+  auto index_of = [&](const auto& values, const std::string& field,
+                      const char* what) {
+    const int v = parse_int(field, what);
+    for (std::size_t i = 0; i < values.size(); ++i)
+      if (values[i] == v) return static_cast<std::int8_t>(i);
+    throw std::invalid_argument("parse error: " + std::string(what) + " " +
+                                field + " is not on the searched skeleton "
+                                "axis in '" + text + "'");
+  };
+  SkeletonChoice k;
+  k.normals = index_of(kSearchedNormalsPerStage, parts[0],
+                       "normal cells per stage");
+  k.stem = index_of(kSearchedStemChannels, parts[1], "stem channels");
+  return k;
 }
 
 }  // namespace
@@ -150,8 +175,26 @@ AcceleratorConfig parse_accelerator_config(const std::string& text) {
 
 
 std::string serialize_candidate(const CandidateDesign& candidate) {
-  return serialize_genotype(candidate.genotype) + "@" +
-         candidate.config.to_string();
+  std::string text = serialize_genotype(candidate.genotype) + "@" +
+                     candidate.config.to_string();
+  const SkeletonChoice k = candidate.skeleton;
+  if (k.is_set()) {
+    YOSO_REQUIRE(k.normals >= 0 &&
+                     static_cast<std::size_t>(k.normals) <
+                         kSearchedNormalsPerStage.size() &&
+                     k.stem >= 0 &&
+                     static_cast<std::size_t>(k.stem) <
+                         kSearchedStemChannels.size(),
+                 "serialize_candidate: skeleton choice (", int{k.normals},
+                 ", ", int{k.stem}, ") out of range");
+    text += '#';
+    text += std::to_string(
+        kSearchedNormalsPerStage[static_cast<std::size_t>(k.normals)]);
+    text += 'x';
+    text += std::to_string(
+        kSearchedStemChannels[static_cast<std::size_t>(k.stem)]);
+  }
+  return text;
 }
 
 CandidateDesign parse_candidate(const std::string& text) {
@@ -161,7 +204,12 @@ CandidateDesign parse_candidate(const std::string& text) {
         "parse error: candidate needs '<genotype>@<config>'");
   CandidateDesign c;
   c.genotype = parse_genotype(text.substr(0, at));
-  c.config = parse_accelerator_config(text.substr(at + 1));
+  const auto hash = text.find('#', at + 1);
+  c.config = parse_accelerator_config(
+      text.substr(at + 1, hash == std::string::npos ? std::string::npos
+                                                    : hash - at - 1));
+  if (hash != std::string::npos)
+    c.skeleton = parse_skeleton_choice(text.substr(hash + 1));
   return c;
 }
 

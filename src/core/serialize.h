@@ -9,7 +9,9 @@
 //   node     := input_a','input_b','op_a','op_b
 //   genotype := "normal=" cell "|reduction=" cell
 //   config   := rows'*'cols'/'gbufKB'/'rbufB'/'dataflow   (paper style)
-//   candidate:= genotype "@" config
+//   candidate:= genotype "@" config [ "#" normals "x" stem ]
+//                (the suffix only for a set SkeletonChoice: normal cells per
+//                stage and stem channels, e.g. "#2x24")
 //
 // Parsers throw std::invalid_argument with a position-specific message on
 // malformed input and validate the decoded structure.
@@ -34,7 +36,9 @@ Genotype parse_genotype(const std::string& text);
 /// (AcceleratorConfig::to_string produces this format.)
 AcceleratorConfig parse_accelerator_config(const std::string& text);
 
-/// Whole candidate: "<genotype>@<config>".
+/// Whole candidate: "<genotype>@<config>", plus "#<normals>x<stem>" when
+/// its skeleton choice is set (a fixed-space candidate's text carries no
+/// suffix).
 std::string serialize_candidate(const CandidateDesign& candidate);
 CandidateDesign parse_candidate(const std::string& text);
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "base/contract.h"
 #include "util/thread_pool.h"
@@ -28,6 +29,7 @@ namespace {
 
 constexpr std::size_t kRowBlock = 8;    // pool partition unit (rows)
 constexpr std::size_t kAccIBlock = 128; // i-blocking for A^T B accumulation
+constexpr std::size_t kDAccIBlock = 32; // same for double A^T B (datb_*)
 
 bool use_avx2() {
 #if YOSO_KERNELS_X86
@@ -158,6 +160,32 @@ void satb_rows_generic(const float* a, const float* b, float* c,
         ct[j] = s;
       }
     }
+  }
+}
+
+void datb_rows_generic(const double* a, const double* b, double* c,
+                       std::size_t t0, std::size_t t1, std::size_t m,
+                       std::size_t kk, std::size_t n) {
+  for (std::size_t ib = 0; ib < m; ib += kDAccIBlock) {
+    const std::size_t ie = std::min(m, ib + kDAccIBlock);
+    for (std::size_t t = t0; t < t1; ++t) {
+      double* ct = c + t * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        double s = ct[j];
+        for (std::size_t i = ib; i < ie; ++i)
+          s += a[i * kk + t] * b[i * n + j];
+        ct[j] = s;
+      }
+    }
+  }
+}
+
+void gemv_t_acc_generic(const double* a, const double* x, double* y,
+                        std::size_t m, std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double xi = x[i];
+    const double* ai = a + i * n;
+    for (std::size_t j = 0; j < n; ++j) y[j] += xi * ai[j];
   }
 }
 
@@ -471,6 +499,149 @@ __attribute__((target("avx2,fma"))) void satb_rows_avx2(
         ct[j] = s;
       }
     }
+  }
+}
+
+// The j (column-panel) loop runs outermost inside an i-block, so one tile
+// column of B (iblock x 16 doubles) stays in L1 across every row t of C,
+// and the i-block is short because each row of A the tile reads from is a
+// different page at the controller's widths.  The per-element chains are
+// the generic engine's: fixed i order, C reloaded once per i-block.
+__attribute__((target("avx2,fma"))) void datb_rows_avx2(
+    const double* a, const double* b, double* c, std::size_t t0,
+    std::size_t t1, std::size_t m, std::size_t kk, std::size_t n) {
+  for (std::size_t ib = 0; ib < m; ib += kDAccIBlock) {
+    const std::size_t ie = std::min(m, ib + kDAccIBlock);
+    std::size_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+      std::size_t t = t0;
+      for (; t + 2 <= t1; t += 2) {
+        double* c0 = c + t * n + j;
+        double* c1 = c0 + n;
+        const double* at = a + t;
+        __m256d s00 = _mm256_loadu_pd(c0);
+        __m256d s01 = _mm256_loadu_pd(c0 + 4);
+        __m256d s02 = _mm256_loadu_pd(c0 + 8);
+        __m256d s03 = _mm256_loadu_pd(c0 + 12);
+        __m256d s10 = _mm256_loadu_pd(c1);
+        __m256d s11 = _mm256_loadu_pd(c1 + 4);
+        __m256d s12 = _mm256_loadu_pd(c1 + 8);
+        __m256d s13 = _mm256_loadu_pd(c1 + 12);
+        for (std::size_t i = ib; i < ie; ++i) {
+          const double* bi = b + i * n + j;
+          const __m256d b0 = _mm256_loadu_pd(bi);
+          const __m256d b1 = _mm256_loadu_pd(bi + 4);
+          const __m256d b2 = _mm256_loadu_pd(bi + 8);
+          const __m256d b3 = _mm256_loadu_pd(bi + 12);
+          const __m256d v0 = _mm256_set1_pd(at[i * kk]);
+          const __m256d v1 = _mm256_set1_pd(at[i * kk + 1]);
+          s00 = _mm256_fmadd_pd(v0, b0, s00);
+          s01 = _mm256_fmadd_pd(v0, b1, s01);
+          s02 = _mm256_fmadd_pd(v0, b2, s02);
+          s03 = _mm256_fmadd_pd(v0, b3, s03);
+          s10 = _mm256_fmadd_pd(v1, b0, s10);
+          s11 = _mm256_fmadd_pd(v1, b1, s11);
+          s12 = _mm256_fmadd_pd(v1, b2, s12);
+          s13 = _mm256_fmadd_pd(v1, b3, s13);
+        }
+        _mm256_storeu_pd(c0, s00);
+        _mm256_storeu_pd(c0 + 4, s01);
+        _mm256_storeu_pd(c0 + 8, s02);
+        _mm256_storeu_pd(c0 + 12, s03);
+        _mm256_storeu_pd(c1, s10);
+        _mm256_storeu_pd(c1 + 4, s11);
+        _mm256_storeu_pd(c1 + 8, s12);
+        _mm256_storeu_pd(c1 + 12, s13);
+      }
+      for (; t < t1; ++t) {
+        double* c0 = c + t * n + j;
+        const double* at = a + t;
+        __m256d s00 = _mm256_loadu_pd(c0);
+        __m256d s01 = _mm256_loadu_pd(c0 + 4);
+        __m256d s02 = _mm256_loadu_pd(c0 + 8);
+        __m256d s03 = _mm256_loadu_pd(c0 + 12);
+        for (std::size_t i = ib; i < ie; ++i) {
+          const double* bi = b + i * n + j;
+          const __m256d v0 = _mm256_set1_pd(at[i * kk]);
+          s00 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bi), s00);
+          s01 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bi + 4), s01);
+          s02 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bi + 8), s02);
+          s03 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bi + 12), s03);
+        }
+        _mm256_storeu_pd(c0, s00);
+        _mm256_storeu_pd(c0 + 4, s01);
+        _mm256_storeu_pd(c0 + 8, s02);
+        _mm256_storeu_pd(c0 + 12, s03);
+      }
+    }
+    for (; j + 4 <= n; j += 4) {
+      for (std::size_t t = t0; t < t1; ++t) {
+        double* c0 = c + t * n + j;
+        const double* at = a + t;
+        __m256d s0 = _mm256_loadu_pd(c0);
+        for (std::size_t i = ib; i < ie; ++i)
+          s0 = _mm256_fmadd_pd(_mm256_set1_pd(at[i * kk]),
+                               _mm256_loadu_pd(b + i * n + j), s0);
+        _mm256_storeu_pd(c0, s0);
+      }
+    }
+    for (; j < n; ++j) {
+      for (std::size_t t = t0; t < t1; ++t) {
+        const double* at = a + t;
+        double s0 = c[t * n + j];
+        for (std::size_t i = ib; i < ie; ++i)
+          s0 = std::fma(at[i * kk], b[i * n + j], s0);
+        c[t * n + j] = s0;
+      }
+    }
+  }
+}
+
+// y[0, 4 * sizeof...(V)) += A^T x over one column panel of A (row stride
+// n): one ymm accumulator per V, each element's chain a fixed-order fma
+// over the rows, so the panel width never changes a result.  The pack
+// expansions index `s` with constants, so it lives in registers.
+template <std::size_t... V>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+gemv_t_panel_avx2(std::index_sequence<V...>, const double* a,
+                  const double* x, double* y, std::size_t m, std::size_t n) {
+  __m256d s[] = {_mm256_loadu_pd(y + 4 * V)...};
+  for (std::size_t i = 0; i < m; ++i) {
+    const __m256d xv = _mm256_set1_pd(x[i]);
+    const double* ai = a + i * n;
+    ((s[V] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(ai + 4 * V), s[V])), ...);
+  }
+  (_mm256_storeu_pd(y + 4 * V, s[V]), ...);
+}
+
+template <std::size_t NB>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+gemv_t_panel_avx2(const double* a, const double* x, double* y, std::size_t m,
+                  std::size_t n) {
+  gemv_t_panel_avx2(std::make_index_sequence<NB>(), a, x, y, m, n);
+}
+
+__attribute__((target("avx2,fma"))) void gemv_t_acc_avx2(
+    const double* a, const double* x, double* y, std::size_t m,
+    std::size_t n) {
+  std::size_t j = 0;
+  for (; j + 32 <= n; j += 32) gemv_t_panel_avx2<8>(a + j, x, y + j, m, n);
+  // The leftover whole vectors go in one more pass over the rows.
+  switch ((n - j) / 4) {
+    case 7: gemv_t_panel_avx2<7>(a + j, x, y + j, m, n); break;
+    case 6: gemv_t_panel_avx2<6>(a + j, x, y + j, m, n); break;
+    case 5: gemv_t_panel_avx2<5>(a + j, x, y + j, m, n); break;
+    case 4: gemv_t_panel_avx2<4>(a + j, x, y + j, m, n); break;
+    case 3: gemv_t_panel_avx2<3>(a + j, x, y + j, m, n); break;
+    case 2: gemv_t_panel_avx2<2>(a + j, x, y + j, m, n); break;
+    case 1: gemv_t_panel_avx2<1>(a + j, x, y + j, m, n); break;
+    default: break;
+  }
+  j += (n - j) / 4 * 4;
+  for (; j < n; ++j) {
+    double s = y[j];
+    for (std::size_t i = 0; i < m; ++i) s = std::fma(x[i], a[i * n + j], s);
+    y[j] = s;
   }
 }
 
@@ -937,6 +1108,36 @@ void sgemm_atb_acc(const float* a, const float* b, float* c, std::size_t m,
 #endif
     satb_rows_generic(a, b, c, t0, t1, m, k, n);
   });
+}
+
+void gemm_atb_acc(const double* a, const double* b, double* c, std::size_t m,
+                  std::size_t k, std::size_t n, ThreadPool* pool) {
+  if (k == 0 || n == 0 || m == 0) return;
+  YOSO_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
+               "kernels::gemm_atb_acc: null operand");
+  for_row_blocks(pool, k, [&](std::size_t t0, std::size_t t1) {
+#if YOSO_KERNELS_X86
+    if (use_avx2()) {
+      datb_rows_avx2(a, b, c, t0, t1, m, k, n);
+      return;
+    }
+#endif
+    datb_rows_generic(a, b, c, t0, t1, m, k, n);
+  });
+}
+
+void gemv_t_acc(const double* a, const double* x, double* y, std::size_t m,
+                std::size_t n) {
+  if (m == 0 || n == 0) return;
+  YOSO_REQUIRE(a != nullptr && x != nullptr && y != nullptr,
+               "kernels::gemv_t_acc: null operand");
+#if YOSO_KERNELS_X86
+  if (use_avx2()) {
+    gemv_t_acc_avx2(a, x, y, m, n);
+    return;
+  }
+#endif
+  gemv_t_acc_generic(a, x, y, m, n);
 }
 
 PackedRows pack_rows(const double* src, std::size_t rows, std::size_t dim) {

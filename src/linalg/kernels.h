@@ -42,6 +42,12 @@ void gemm(const double* a, const double* b, double* c, std::size_t m,
 void gemv(const double* a, const double* x, double* y, std::size_t m,
           std::size_t n);
 
+/// y (n) += A^T x where A is (m x n): every y[j] accumulates x[i] * A(i, j)
+/// over i in order, one chain per element, so the result for column j never
+/// depends on n or on how the columns are vectorised.
+void gemv_t_acc(const double* a, const double* x, double* y, std::size_t m,
+                std::size_t n);
+
 /// Fixed-order dot product: four independent accumulator lanes combined as
 /// ((l0+l1)+(l2+l3)) on every engine, so the reduction order never depends
 /// on the caller.
@@ -60,6 +66,14 @@ void sgemm_ab(const float* a, const float* b, float* c, std::size_t m,
 /// gradient accumulation.
 void sgemm_atb_acc(const float* a, const float* b, float* c, std::size_t m,
                    std::size_t k, std::size_t n, ThreadPool* pool = nullptr);
+
+/// C (k x n) += A^T * B where A is (m x k), B is (m x n): the double
+/// precision twin of sgemm_atb_acc (a sum of m outer products in one pass
+/// over C).  Each C element accumulates over i in order, with C reloaded
+/// once per fixed-size i-block, so the result is bit-identical at any
+/// thread count.
+void gemm_atb_acc(const double* a, const double* b, double* c, std::size_t m,
+                  std::size_t k, std::size_t n, ThreadPool* pool = nullptr);
 
 /// Column-major pack of a row-major (rows x dim) matrix plus per-row
 /// squared norms: the GP training set is packed once at fit time so every

@@ -1,51 +1,36 @@
 #include "rl/controller.h"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
 #include "base/contract.h"
+#include "linalg/kernels.h"
+#include "obs/trace.h"
+#include "rl/param_store.h"
 #include "util/rng.h"
 
 namespace yoso {
 
 namespace {
 
-double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-
-/// y += M x  where M is (rows x cols) row-major.
-void matvec_acc(std::span<const double> m, std::span<const double> x,
-                std::span<double> y, std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;
-    const double* row = m.data() + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    y[r] += acc;
-  }
+/// out = tanh(in) as 2 / (1 + e^-2x) - 1 through the vectorised exp; the
+/// forward pass and BPTT both use it, so BPTT differentiates exactly the
+/// function that was sampled.
+void tanh_into(std::span<const double> in, std::span<double> out) {
+  kernels::exp_scale(in.data(), out.data(), in.size(), -2.0, 1.0);
+  for (double& v : out) v = 2.0 / (1.0 + v) - 1.0;
 }
 
-/// y += M^T x  where M is (rows x cols) row-major, x has `rows` entries.
-void matvec_t_acc(std::span<const double> m, std::span<const double> x,
-                  std::span<double> y, std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    const double* row = m.data() + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) y[c] += row[c] * xr;
-  }
-}
-
-/// G += a b^T for G (rows x cols) row-major.
-void outer_acc(std::span<double> g, std::span<const double> a,
-               std::span<const double> b, std::size_t rows,
-               std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double ar = a[r];
-    if (ar == 0.0) continue;
-    double* row = g.data() + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) row[c] += ar * b[c];
-  }
+/// dst (cols x rows) = src^T for src (rows x cols), both row-major.
+void transpose_into(std::span<const double> src, std::size_t rows,
+                    std::size_t cols, std::vector<double>& dst) {
+  dst.resize(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      dst[c * rows + r] = src[r * cols + c];
 }
 
 }  // namespace
@@ -77,224 +62,324 @@ LstmController::LstmController(std::vector<int> cardinalities,
     head_b_[t] =
         store_.alloc(static_cast<std::size_t>(cardinalities_[t]), rng, 0.0);
   }
+
+  steps_ = cardinalities_.size();
+  hidden_ = h;
+  embed_dim_ = e;
+  head_offset_.resize(steps_);
+  for (std::size_t t = 0; t < steps_; ++t) {
+    head_offset_[t] = head_total_;
+    head_total_ += static_cast<std::size_t>(cardinalities_[t]);
+  }
+  dh_.assign(h, 0.0);
+  dc_.assign(h, 0.0);
+  tanh_c_.assign(h, 0.0);
+  start_version();
 }
 
-std::vector<double> LstmController::step_forward(Episode& ep, int t,
-                                                 int prev_action) {
-  const auto h = static_cast<std::size_t>(options_.hidden_size);
-  const auto e = static_cast<std::size_t>(options_.embed_size);
-  const auto ti = static_cast<std::size_t>(t);
+std::span<double> LstmController::x_row(std::size_t s, std::size_t r) {
+  return std::span<double>(x_).subspan((s * (steps_ + 1) + r) * embed_dim_,
+                                       embed_dim_);
+}
+std::span<double> LstmController::h_row(std::size_t s, std::size_t r) {
+  return std::span<double>(h_).subspan((s * (steps_ + 1) + r) * hidden_,
+                                       hidden_);
+}
+std::span<double> LstmController::c_row(std::size_t s, std::size_t r) {
+  return std::span<double>(c_).subspan((s * (steps_ + 1) + r) * hidden_,
+                                       hidden_);
+}
+std::span<double> LstmController::g_row(std::size_t s, std::size_t r) {
+  return std::span<double>(g_).subspan(
+      (s * (steps_ + 1) + r) * 4 * hidden_, 4 * hidden_);
+}
+std::span<double> LstmController::head_row(std::vector<double>& buf,
+                                           std::size_t s, std::size_t t) {
+  YOSO_DCHECK(t < steps_, "LstmController::head_row: step ", t);
+  return std::span<double>(buf).subspan(s * head_total_ + head_offset_[t],
+                                        static_cast<std::size_t>(
+                                            cardinalities_[t]));
+}
 
-  // Input embedding.
-  ep.x[ti].assign(e, 0.0);
-  if (t == 0) {
-    const auto sv = store_.value(start_);
-    for (std::size_t i = 0; i < e; ++i) ep.x[ti][i] = sv[i];
-  } else {
-    const auto ev = store_.value(embed_[ti]);
-    YOSO_REQUIRE(prev_action >= 0 &&
-                     static_cast<std::size_t>(prev_action + 1) * e <=
-                         ev.size(),
-                 "Controller::step_forward: prev_action ", prev_action,
-                 " out of range");
-    for (std::size_t i = 0; i < e; ++i)
-      ep.x[ti][i] = ev[static_cast<std::size_t>(prev_action) * e + i];
+std::span<const double> LstmController::input(std::size_t t,
+                                              int prev_action) const {
+  YOSO_DCHECK(t < steps_, "LstmController::input: step ", t);
+  if (t == 0) return store_.value(start_);
+  YOSO_DCHECK(prev_action >= 0 && prev_action < cardinalities_[t - 1],
+              "LstmController::input: action ", prev_action,
+              " out of range at step ", t);
+  return store_.value(embed_[t]).subspan(
+      static_cast<std::size_t>(prev_action) * embed_dim_, embed_dim_);
+}
+
+void LstmController::start_version() {
+  ++version_;
+  slot_state_.clear();
+  transpose_into(store_.value(w_x_), 4 * hidden_, embed_dim_, w_x_t_);
+  transpose_into(store_.value(w_h_), 4 * hidden_, hidden_, w_h_t_);
+}
+
+void LstmController::cell_forward(std::span<const double> x,
+                                  std::span<const double> h_prev,
+                                  std::span<const double> c_prev,
+                                  std::span<double> gates,
+                                  std::span<double> c,
+                                  std::span<double> h) const {
+  const std::size_t hs = hidden_;
+  const auto bv = store_.value(b_);
+  std::copy(bv.begin(), bv.end(), gates.begin());
+  kernels::gemv_t_acc(w_x_t_.data(), x.data(), gates.data(), embed_dim_,
+                      4 * hs);
+  if (!h_prev.empty())
+    kernels::gemv_t_acc(w_h_t_.data(), h_prev.data(), gates.data(), hs,
+                        4 * hs);
+  // Activations through the vectorised exp: sigmoid(x) = 1 / (1 + e^-x)
+  // and tanh(x) = 2 / (1 + e^-2x) - 1.
+  kernels::exp_scale(gates.data(), gates.data(), 2 * hs, -1.0, 1.0);
+  kernels::exp_scale(gates.data() + 2 * hs, gates.data() + 2 * hs, hs, -2.0,
+                     1.0);
+  kernels::exp_scale(gates.data() + 3 * hs, gates.data() + 3 * hs, hs, -1.0,
+                     1.0);
+  for (std::size_t i = 0; i < hs; ++i) {
+    const double gi = 1.0 / (1.0 + gates[i]);
+    const double gf = 1.0 / (1.0 + gates[hs + i]);
+    const double gg = 2.0 / (1.0 + gates[2 * hs + i]) - 1.0;
+    gates[i] = gi;
+    gates[hs + i] = gf;
+    gates[2 * hs + i] = gg;
+    gates[3 * hs + i] = 1.0 / (1.0 + gates[3 * hs + i]);
+    c[i] = gf * c_prev[i] + gi * gg;
   }
+  tanh_into(c, h);
+  for (std::size_t i = 0; i < hs; ++i) h[i] *= gates[3 * hs + i];
+}
 
-  // Gate pre-activations.
-  std::vector<double> pre(4 * h);
-  {
-    const auto bv = store_.value(b_);
-    for (std::size_t i = 0; i < 4 * h; ++i) pre[i] = bv[i];
+void LstmController::head_forward(ParamView head_w, ParamView head_b,
+                                  std::span<const double> h,
+                                  std::span<double> squash,
+                                  std::span<double> z) const {
+  kernels::gemv(store_.value(head_w).data(), h.data(), z.data(), z.size(),
+                hidden_);
+  const auto bv = store_.value(head_b);
+  for (std::size_t k = 0; k < z.size(); ++k) {
+    squash[k] = std::tanh((z[k] + bv[k]) / options_.temperature);
+    z[k] = options_.tanh_constant * squash[k];
   }
-  matvec_acc(store_.value(w_x_), ep.x[ti], pre, 4 * h, e);
-  if (t > 0) matvec_acc(store_.value(w_h_), ep.h[ti - 1], pre, 4 * h, h);
-
-  ep.gi[ti].resize(h);
-  ep.gf[ti].resize(h);
-  ep.gg[ti].resize(h);
-  ep.go[ti].resize(h);
-  ep.c[ti].resize(h);
-  ep.h[ti].resize(h);
-  for (std::size_t i = 0; i < h; ++i) {
-    ep.gi[ti][i] = sigmoid(pre[i]);
-    ep.gf[ti][i] = sigmoid(pre[h + i]);
-    ep.gg[ti][i] = std::tanh(pre[2 * h + i]);
-    ep.go[ti][i] = sigmoid(pre[3 * h + i]);
-    const double c_prev = t > 0 ? ep.c[ti - 1][i] : 0.0;
-    ep.c[ti][i] = ep.gf[ti][i] * c_prev + ep.gi[ti][i] * ep.gg[ti][i];
-    ep.h[ti][i] = ep.go[ti][i] * std::tanh(ep.c[ti][i]);
-  }
-
-  // Head logits with temperature + tanh-constant squashing.
-  const auto card = static_cast<std::size_t>(cardinalities_[ti]);
-  ep.head_u[ti].assign(card, 0.0);
-  {
-    const auto bv = store_.value(head_b_[ti]);
-    for (std::size_t i = 0; i < card; ++i) ep.head_u[ti][i] = bv[i];
-  }
-  matvec_acc(store_.value(head_w_[ti]), ep.h[ti], ep.head_u[ti], card, h);
-
-  std::vector<double> z(card);
-  for (std::size_t i = 0; i < card; ++i)
-    z[i] = options_.tanh_constant *
-           std::tanh(ep.head_u[ti][i] / options_.temperature);
-  return z;
 }
 
 Episode LstmController::sample(Rng& rng) {
-  const int t_max = num_steps();
-  Episode ep;
-  const auto n = static_cast<std::size_t>(t_max);
-  ep.actions.resize(n);
-  ep.x.resize(n);
-  ep.h.resize(n);
-  ep.c.resize(n);
-  ep.gi.resize(n);
-  ep.gf.resize(n);
-  ep.gg.resize(n);
-  ep.go.resize(n);
-  ep.probs.resize(n);
-  ep.head_u.resize(n);
+  YOSO_TRACE_SPAN("rl.sample");
+  const std::size_t s = slot_state_.size();
+  const std::size_t rows = steps_ + 1;
+  slot_state_.push_back(SlotState::kSampled);
+  if (actions_.size() < slot_state_.size() * steps_) {
+    // Grow the round by one slot; new rows are zero, which is what the
+    // h/c row 0 and g/x row T invariants need.
+    x_.resize(x_.size() + rows * embed_dim_);
+    h_.resize(h_.size() + rows * hidden_);
+    c_.resize(c_.size() + rows * hidden_);
+    g_.resize(g_.size() + rows * 4 * hidden_);
+    probs_.resize(probs_.size() + head_total_);
+    squash_.resize(squash_.size() + head_total_);
+    actions_.resize(actions_.size() + steps_);
+  }
 
-  int prev = 0;
-  for (int t = 0; t < t_max; ++t) {
-    const auto ti = static_cast<std::size_t>(t);
-    const std::vector<double> z = step_forward(ep, t, prev);
-    // Softmax.
-    double zmax = z[0];
-    for (double v : z) zmax = std::max(zmax, v);
+  Episode ep;
+  ep.actions.resize(steps_);
+  ep.version = version_;
+  ep.slot = s;
+  const std::span<int> acts =
+      std::span<int>(actions_).subspan(s * steps_, steps_);
+  for (std::size_t t = 0; t < steps_; ++t) {
+    const auto x = x_row(s, t);
+    const auto src = input(t, t == 0 ? 0 : acts[t - 1]);
+    std::copy(src.begin(), src.end(), x.begin());
+    cell_forward(x, t == 0 ? std::span<double>() : h_row(s, t), c_row(s, t),
+                 g_row(s, t), c_row(s, t + 1), h_row(s, t + 1));
+
+    const auto p = head_row(probs_, s, t);
+    head_forward(head_w_[t], head_b_[t], h_row(s, t + 1),
+                 head_row(squash_, s, t), p);
+    // Softmax in place, then the step's entropy.
+    const double zmax = *std::max_element(p.begin(), p.end());
     double denom = 0.0;
-    ep.probs[ti].resize(z.size());
-    for (std::size_t i = 0; i < z.size(); ++i) {
-      ep.probs[ti][i] = std::exp(z[i] - zmax);
-      denom += ep.probs[ti][i];
+    for (double& v : p) {
+      v = std::exp(v - zmax);
+      denom += v;
     }
     double ent = 0.0;
-    for (auto& p : ep.probs[ti]) {
-      p /= denom;
-      if (p > 0.0) ent -= p * std::log(p);
+    for (double& v : p) {
+      v /= denom;
+      if (v > 0.0) ent -= v * std::log(v);
     }
-    const auto a = rng.weighted_index(ep.probs[ti]);
-    ep.actions[ti] = static_cast<int>(a);
-    ep.log_prob += std::log(std::max(ep.probs[ti][a], 1e-300));
+    const auto a = rng.weighted_index(p.data(), p.size());
+    acts[t] = static_cast<int>(a);
+    ep.actions[t] = static_cast<int>(a);
+    ep.log_prob += std::log(std::max(p[a], 1e-300));
     ep.entropy += ent;
-    prev = static_cast<int>(a);
   }
   return ep;
 }
 
-std::vector<int> LstmController::argmax_actions() {
-  const int t_max = num_steps();
-  Episode ep;
-  const auto n = static_cast<std::size_t>(t_max);
-  ep.actions.resize(n);
-  ep.x.resize(n);
-  ep.h.resize(n);
-  ep.c.resize(n);
-  ep.gi.resize(n);
-  ep.gf.resize(n);
-  ep.gg.resize(n);
-  ep.go.resize(n);
-  ep.probs.resize(n);
-  ep.head_u.resize(n);
+std::span<const double> LstmController::step_probs(const Episode& episode,
+                                                   int t) const {
+  YOSO_REQUIRE(episode.version == version_ &&
+                   episode.slot < slot_state_.size() &&
+                   slot_state_[episode.slot] == SlotState::kSampled,
+               "LstmController::step_probs: episode is not a live, "
+               "not yet fed-back sample of this policy version");
+  YOSO_REQUIRE(t >= 0 && static_cast<std::size_t>(t) < steps_,
+               "LstmController::step_probs: step ", t, " out of range");
+  const auto ti = static_cast<std::size_t>(t);
+  return {probs_.data() + episode.slot * head_total_ + head_offset_[ti],
+          static_cast<std::size_t>(cardinalities_[ti])};
+}
 
-  int prev = 0;
-  for (int t = 0; t < t_max; ++t) {
-    const std::vector<double> z = step_forward(ep, t, prev);
-    int best = 0;
-    for (std::size_t i = 1; i < z.size(); ++i)
-      if (z[i] > z[static_cast<std::size_t>(best)]) best = static_cast<int>(i);
-    ep.actions[static_cast<std::size_t>(t)] = best;
-    prev = best;
+std::vector<int> LstmController::argmax_actions() {
+  const std::size_t h = hidden_;
+  // (h, c) of the previous and the current step ping-pong between two
+  // halves of `state`; nothing of the round buffer is touched.
+  std::vector<double> x(embed_dim_), gates(4 * h), state(4 * h, 0.0),
+      squash(head_total_), z(head_total_);
+  const std::span<double> sv(state);
+  std::vector<int> actions(steps_);
+  for (std::size_t t = 0; t < steps_; ++t) {
+    const auto src = input(t, t == 0 ? 0 : actions[t - 1]);
+    std::copy(src.begin(), src.end(), x.begin());
+    const auto prev = sv.subspan((t % 2) * 2 * h, 2 * h);
+    const auto next = sv.subspan(((t + 1) % 2) * 2 * h, 2 * h);
+    cell_forward(x, t == 0 ? std::span<double>() : prev.first(h),
+                 prev.last(h), gates, next.last(h), next.first(h));
+    const auto zt = head_row(z, 0, t);
+    head_forward(head_w_[t], head_b_[t], next.first(h),
+                 head_row(squash, 0, t), zt);
+    actions[t] = static_cast<int>(std::max_element(zt.begin(), zt.end()) -
+                                  zt.begin());
   }
-  return ep.actions;
+  return actions;
 }
 
 void LstmController::accumulate_gradient(const Episode& ep, double advantage,
                                          double entropy_weight) {
-  const int t_max = num_steps();
-  const auto h = static_cast<std::size_t>(options_.hidden_size);
-  const auto e = static_cast<std::size_t>(options_.embed_size);
+  YOSO_TRACE_SPAN("rl.backward");
+  YOSO_REQUIRE(ep.version == version_,
+               "LstmController::accumulate_gradient: episode sampled at "
+               "policy version ",
+               ep.version, " but the controller is at version ", version_,
+               " (an update() ran since; its gradient would be stale)");
+  YOSO_REQUIRE(ep.slot < slot_state_.size() &&
+                   slot_state_[ep.slot] == SlotState::kSampled,
+               "LstmController::accumulate_gradient: episode already fed "
+               "back this round");
+  const std::size_t s = ep.slot;
+  const std::size_t h = hidden_;
+  const std::span<const int> acts =
+      std::span<const int>(actions_).subspan(s * steps_, steps_);
+  const double tc_scale = options_.tanh_constant / options_.temperature;
 
-  std::vector<double> dh_next(h, 0.0);
-  std::vector<double> dc_next(h, 0.0);
-  std::vector<double> dx(e);
+  std::fill(dh_.begin(), dh_.end(), 0.0);  // dL/dh_t from later steps
+  std::fill(dc_.begin(), dc_.end(), 0.0);  // dL/dc_t from later steps
+  for (std::size_t t = steps_; t-- > 0;) {
+    const auto p = head_row(probs_, s, t);  // becomes dL/du
+    const auto sq = head_row(squash_, s, t);
+    const auto a = static_cast<std::size_t>(acts[t]);
 
-  for (int t = t_max - 1; t >= 0; --t) {
-    const auto ti = static_cast<std::size_t>(t);
-    const auto card = static_cast<std::size_t>(cardinalities_[ti]);
-    const auto& p = ep.probs[ti];
-    const auto a = static_cast<std::size_t>(ep.actions[ti]);
-
-    // dL/dz with L = -advantage * log p(a) - entropy_weight * H.
+    // dL/dz with L = -advantage * log p(a) - entropy_weight * H, then
+    // through z = C * tanh(u / T).
     double step_entropy = 0.0;
-    for (std::size_t k = 0; k < card; ++k)
-      if (p[k] > 0.0) step_entropy -= p[k] * std::log(p[k]);
-    std::vector<double> dz(card);
-    for (std::size_t k = 0; k < card; ++k) {
+    for (double v : p)
+      if (v > 0.0) step_entropy -= v * std::log(v);
+    for (std::size_t k = 0; k < p.size(); ++k) {
       const double logp = p[k] > 0.0 ? std::log(p[k]) : -700.0;
-      dz[k] = advantage * (p[k] - (k == a ? 1.0 : 0.0)) +
-              entropy_weight * p[k] * (logp + step_entropy);
+      const double dz = advantage * (p[k] - (k == a ? 1.0 : 0.0)) +
+                        entropy_weight * p[k] * (logp + step_entropy);
+      p[k] = dz * tc_scale * (1.0 - sq[k] * sq[k]);
     }
+    kernels::gemv_t_acc(store_.value(head_w_[t]).data(), p.data(), dh_.data(),
+                        p.size(), h);
 
-    // Through z = C * tanh(u / T).
-    std::vector<double> du(card);
-    for (std::size_t k = 0; k < card; ++k) {
-      const double th = std::tanh(ep.head_u[ti][k] / options_.temperature);
-      du[k] = dz[k] * options_.tanh_constant * (1.0 - th * th) /
-              options_.temperature;
-    }
-
-    // Head gradients and dh from the head.
-    outer_acc(store_.grad(head_w_[ti]), du, ep.h[ti], card, h);
-    {
-      auto gb = store_.grad(head_b_[ti]);
-      for (std::size_t k = 0; k < card; ++k) gb[k] += du[k];
-    }
-    std::vector<double> dh(h, 0.0);
-    matvec_t_acc(store_.value(head_w_[ti]), du, dh, card, h);
-    for (std::size_t i = 0; i < h; ++i) dh[i] += dh_next[i];
-
-    // LSTM cell backward.
-    std::vector<double> dpre(4 * h);
-    std::vector<double> dc(h);
+    // LSTM cell backward; the gates row becomes dL/d(pre-activation).
+    const auto g = g_row(s, t);
+    const auto c_prev = c_row(s, t);
+    tanh_into(c_row(s, t + 1), tanh_c_);
     for (std::size_t i = 0; i < h; ++i) {
-      const double tc = std::tanh(ep.c[ti][i]);
-      dc[i] = dc_next[i] + dh[i] * ep.go[ti][i] * (1.0 - tc * tc);
-      const double do_ = dh[i] * tc;
-      const double c_prev = t > 0 ? ep.c[ti - 1][i] : 0.0;
-      const double di = dc[i] * ep.gg[ti][i];
-      const double dg = dc[i] * ep.gi[ti][i];
-      const double df = dc[i] * c_prev;
-      dpre[i] = di * ep.gi[ti][i] * (1.0 - ep.gi[ti][i]);
-      dpre[h + i] = df * ep.gf[ti][i] * (1.0 - ep.gf[ti][i]);
-      dpre[2 * h + i] = dg * (1.0 - ep.gg[ti][i] * ep.gg[ti][i]);
-      dpre[3 * h + i] = do_ * ep.go[ti][i] * (1.0 - ep.go[ti][i]);
-      dc_next[i] = dc[i] * ep.gf[ti][i];
+      const double gi = g[i], gf = g[h + i], gg = g[2 * h + i],
+                   go = g[3 * h + i];
+      const double tc = tanh_c_[i];
+      const double dc = dc_[i] + dh_[i] * go * (1.0 - tc * tc);
+      const double do_ = dh_[i] * tc;
+      g[i] = dc * gg * gi * (1.0 - gi);
+      g[h + i] = dc * c_prev[i] * gf * (1.0 - gf);
+      g[2 * h + i] = dc * gi * (1.0 - gg * gg);
+      g[3 * h + i] = do_ * go * (1.0 - go);
+      dc_[i] = dc * gf;
     }
-
-    outer_acc(store_.grad(w_x_), dpre, ep.x[ti], 4 * h, e);
-    if (t > 0) outer_acc(store_.grad(w_h_), dpre, ep.h[ti - 1], 4 * h, h);
-    {
-      auto gb = store_.grad(b_);
-      for (std::size_t i = 0; i < 4 * h; ++i) gb[i] += dpre[i];
-    }
-
-    std::fill(dx.begin(), dx.end(), 0.0);
-    matvec_t_acc(store_.value(w_x_), dpre, dx, 4 * h, e);
-    if (t == 0) {
-      auto gs = store_.grad(start_);
-      for (std::size_t i = 0; i < e; ++i) gs[i] += dx[i];
-    } else {
-      auto ge = store_.grad(embed_[ti]);
-      const auto prev = static_cast<std::size_t>(ep.actions[ti - 1]);
-      for (std::size_t i = 0; i < e; ++i) ge[prev * e + i] += dx[i];
-    }
-
-    std::fill(dh_next.begin(), dh_next.end(), 0.0);
-    if (t > 0) matvec_t_acc(store_.value(w_h_), dpre, dh_next, 4 * h, h);
+    std::fill(dh_.begin(), dh_.end(), 0.0);
+    if (t > 0)
+      kernels::gemv_t_acc(store_.value(w_h_).data(), g.data(), dh_.data(),
+                          4 * h, h);
   }
+  slot_state_[s] = SlotState::kFed;
+}
+
+void LstmController::fold_round() {
+  const std::size_t h = hidden_;
+  const std::size_t e = embed_dim_;
+  const std::size_t rows = steps_ + 1;
+  std::size_t s0 = 0;
+  while (s0 < slot_state_.size()) {
+    if (slot_state_[s0] != SlotState::kFed) {
+      ++s0;
+      continue;
+    }
+    std::size_t s1 = s0;
+    while (s1 < slot_state_.size() && slot_state_[s1] == SlotState::kFed)
+      ++s1;
+    // The run's slots are contiguous, so its n = (s1 - s0)(T + 1) rows are
+    // one matrix per cache.  g row t pairs with h row t = h_{t-1} and x row
+    // t = x_t, so each weight gradient is one A^T B over every step column
+    // of the run (row 0 of h and row T of g are zero).
+    const std::size_t n = (s1 - s0) * rows;
+    const double* g = g_.data() + s0 * rows * 4 * h;
+    kernels::gemm_atb_acc(g, h_.data() + s0 * rows * h,
+                          store_.grad(w_h_).data(), n, 4 * h, h);
+    kernels::gemm_atb_acc(g, x_.data() + s0 * rows * e,
+                          store_.grad(w_x_).data(), n, 4 * h, e);
+    const auto gb = store_.grad(b_);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t i = 0; i < 4 * h; ++i) gb[i] += g[r * 4 * h + i];
+    // dL/dx of every step column goes straight into the start vector or
+    // the embedding row its input came from.
+    for (std::size_t s = s0; s < s1; ++s) {
+      const int* acts = actions_.data() + s * steps_;
+      for (std::size_t t = 0; t < steps_; ++t) {
+        const auto dst =
+            t == 0 ? store_.grad(start_)
+                   : store_.grad(embed_[t]).subspan(
+                         static_cast<std::size_t>(acts[t - 1]) * e, e);
+        kernels::gemv_t_acc(store_.value(w_x_).data(), g_row(s, t).data(),
+                            dst.data(), 4 * h, e);
+      }
+    }
+    // Heads: step t's matrix receives one (du, h_t) column per episode.
+    for (std::size_t t = 0; t < steps_; ++t) {
+      const auto gw = store_.grad(head_w_[t]);
+      const auto ghb = store_.grad(head_b_[t]);
+      for (std::size_t s = s0; s < s1; ++s) {
+        const auto du = head_row(probs_, s, t);
+        kernels::gemm_atb_acc(du.data(), h_row(s, t + 1).data(), gw.data(), 1,
+                              du.size(), h);
+        for (std::size_t k = 0; k < du.size(); ++k) ghb[k] += du[k];
+      }
+    }
+    for (std::size_t s = s0; s < s1; ++s) slot_state_[s] = SlotState::kFolded;
+    s0 = s1;
+  }
+}
+
+std::span<const double> LstmController::gradient() {
+  fold_round();
+  return store_.grads();
 }
 
 void LstmController::save(std::ostream& os) const {
@@ -324,14 +409,18 @@ void LstmController::load(std::istream& is) {
       embed != options_.embed_size)
     throw std::invalid_argument("LstmController::load: shape mismatch");
   store_.load(is);
+  start_version();
 }
 
 void LstmController::update(double lr, double max_grad_norm) {
+  YOSO_TRACE_SPAN("rl.adam");
+  fold_round();
   const double norm = store_.grad_norm();
   if (norm > max_grad_norm && norm > 0.0)
     store_.scale_grad(max_grad_norm / norm);
   store_.adam_step(lr);
   store_.zero_grad();
+  start_version();
 }
 
 }  // namespace yoso

@@ -11,8 +11,21 @@
 //
 // REINFORCE with a moving-average baseline and an entropy bonus updates the
 // parameters (Eq. 4); the optimiser is Adam (lr 0.0035 in the paper).
+//
+// The update unit is the round: every episode sampled since the last
+// update() belongs to the current policy version, keeps its forward caches
+// in the controller's round buffer, and accumulate_gradient() backprops it
+// through exactly the weights that sampled it.  BPTT only writes each
+// step's gate and head-logit gradients into the buffer; update() folds the
+// weight gradients of all step columns of the round with one GEMM per
+// weight matrix, then takes one clipped Adam step and starts a new version.
+// An episode from an older version is rejected, so a stale gradient is a
+// ContractViolation rather than a silent error.
 
+#include <cstddef>
 #include <cstdint>
+#include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "rl/param_store.h"
@@ -28,18 +41,17 @@ struct ControllerOptions {
   std::uint64_t seed = 1;
 };
 
-/// One sampled action sequence with everything needed for the policy
-/// gradient.
+/// One sampled action sequence.  Its forward caches live in the sampling
+/// controller's round buffer (slot `slot`) until that controller's next
+/// update(); the episode itself is a small handle.
 struct Episode {
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
   std::vector<int> actions;
   double log_prob = 0.0;  ///< sum over steps of log pi(a_t)
   double entropy = 0.0;   ///< sum over steps of H(pi_t)
-
-  // Per-step caches for backprop (sized [T][...]).
-  std::vector<std::vector<double>> x, h, c;           // inputs and states
-  std::vector<std::vector<double>> gi, gf, gg, go;    // gate activations
-  std::vector<std::vector<double>> probs;             // softmax outputs
-  std::vector<std::vector<double>> head_u;            // pre-squash logits
+  std::uint64_t version = 0;    ///< policy version that sampled it
+  std::size_t slot = kNoSlot;   ///< round-buffer slot of its caches
 };
 
 class LstmController {
@@ -52,8 +64,20 @@ class LstmController {
   int num_steps() const { return static_cast<int>(cardinalities_.size()); }
   std::size_t param_count() const { return store_.size(); }
 
-  /// Samples one action sequence (with caches for a later gradient pass).
+  /// The policy version: bumped by every update() and load(); sample()
+  /// stamps it on the episode.
+  std::uint64_t version() const { return version_; }
+
+  /// Samples one action sequence under the current policy version, keeping
+  /// its caches for a later accumulate_gradient.  Each sample holds a
+  /// round-buffer slot (~(T+1)(E+6H) doubles) until the next update() or
+  /// load(), so the buffer is sized by the largest round, like the live
+  /// episodes it stands for.
   Episode sample(Rng& rng);
+
+  /// Step t's softmax distribution for a sampled, not yet fed-back episode
+  /// of the current version.
+  std::span<const double> step_probs(const Episode& episode, int t) const;
 
   /// Greedy (argmax) decode — used to report the controller's current
   /// preferred design.
@@ -61,12 +85,22 @@ class LstmController {
 
   /// Accumulates the REINFORCE gradient of
   ///   L = -(advantage) * log pi(a) - entropy_weight * H(pi)
-  /// for one episode into the parameter store.
+  /// for one episode into the pending round.  ContractViolation when the
+  /// episode was sampled before the last update() or has already been fed
+  /// back.
   void accumulate_gradient(const Episode& episode, double advantage,
                            double entropy_weight);
 
-  /// Applies an Adam step (after one or more accumulate_gradient calls) and
-  /// zeroes gradients.  Gradients are clipped to `max_grad_norm`.
+  /// The pending gradient (every accumulated episode of this round, summed),
+  /// in ParamStore order; what the next update() would clip and apply.
+  std::span<const double> gradient();
+
+  /// The parameters, in ParamStore alloc order (read-only).
+  const ParamStore& params() const { return store_; }
+
+  /// Applies one Adam step for the pending round and zeroes gradients.
+  /// Gradients are clipped to `max_grad_norm`.  Starts a new policy
+  /// version: episodes sampled before it can no longer be fed back.
   void update(double lr, double max_grad_norm = 5.0);
 
   /// Checkpoint the controller (weights + optimiser state).  load() throws
@@ -76,9 +110,36 @@ class LstmController {
   void load(std::istream& is);
 
  private:
-  /// Runs one LSTM step; fills episode caches at position t.
-  /// Returns the logits (pre-softmax, after squashing) for step t.
-  std::vector<double> step_forward(Episode& ep, int t, int prev_action);
+  enum class SlotState : std::uint8_t { kSampled, kFed, kFolded };
+
+  /// Step t's input: the start vector at t = 0, else the embedding of the
+  /// previous step's action.
+  std::span<const double> input(std::size_t t, int prev_action) const;
+  /// One LSTM step from (x, h_prev, c_prev): writes the activated gates
+  /// (i, f, g, o; 4H), c and h.  An empty h_prev is the zero state.
+  void cell_forward(std::span<const double> x, std::span<const double> h_prev,
+                    std::span<const double> c_prev, std::span<double> gates,
+                    std::span<double> c, std::span<double> h) const;
+  /// One output head on h, u = head_w h + head_b: writes squash[k] =
+  /// tanh(u_k / T) and the logits z[k] = C * squash[k].
+  void head_forward(ParamView head_w, ParamView head_b,
+                    std::span<const double> h, std::span<double> squash,
+                    std::span<double> z) const;
+  /// Folds every fed, not yet folded slot's step columns into the store's
+  /// gradient.
+  void fold_round();
+  /// Empties the round (a new policy version) and rebuilds the transposed
+  /// gate weights the forward pass reads.
+  void start_version();
+
+  // Round-buffer rows: slot s, row r in [0, T]; head_row is step t's
+  // stretch of a concatenated-heads buffer (probs_, squash_ or scratch).
+  std::span<double> x_row(std::size_t s, std::size_t r);
+  std::span<double> h_row(std::size_t s, std::size_t r);
+  std::span<double> c_row(std::size_t s, std::size_t r);
+  std::span<double> g_row(std::size_t s, std::size_t r);
+  std::span<double> head_row(std::vector<double>& buf, std::size_t s,
+                             std::size_t t);
 
   std::vector<int> cardinalities_;
   ControllerOptions options_;
@@ -94,6 +155,31 @@ class LstmController {
   // Per-step output heads (card_t x H) + bias (card_t).
   std::vector<ParamView> head_w_;
   std::vector<ParamView> head_b_;
+
+  std::size_t steps_ = 0;       // T
+  std::size_t hidden_ = 0;      // H
+  std::size_t embed_dim_ = 0;   // E
+  std::vector<std::size_t> head_offset_;  // prefix sums of cardinalities
+  std::size_t head_total_ = 0;
+
+  std::uint64_t version_ = 0;
+  // Transposed copies of w_x / w_h ((E, 4H) and (H, 4H)) so a gate product
+  // is one unit-stride gemv_t_acc; scratch, rebuilt by start_version().
+  std::vector<double> w_x_t_, w_h_t_;
+
+  // Round buffer: one slot per episode sampled at the current version.
+  // Each slot holds T + 1 rows per per-step cache so that row t pairs with
+  // step t's inputs: x_ row t = x_t, h_ row t = h_{t-1} and c_ row t =
+  // c_{t-1} (row 0 zero, so h_t / c_t sit in row t + 1), g_ row t = the
+  // activated gates of step t, overwritten in place by dL/d(pre-activation)
+  // when the episode is fed back (row T stays zero).  probs_ / squash_ hold
+  // the concatenated heads; probs_ becomes dL/du on feedback.
+  std::vector<SlotState> slot_state_;
+  std::vector<double> x_, h_, c_, g_;
+  std::vector<double> probs_, squash_;
+  std::vector<int> actions_;
+  // BPTT scratch (H each).
+  std::vector<double> dh_, dc_, tanh_c_;
 };
 
 }  // namespace yoso

@@ -13,7 +13,6 @@ namespace yoso {
 ParamView ParamStore::alloc(std::size_t n, Rng& rng, double scale) {
   ThreadRoleGuard coordinator(role_);
   ParamView v{value_.size(), n};
-  value_.reserve(value_.size() + n);
   for (std::size_t i = 0; i < n; ++i)
     value_.push_back(rng.uniform(-scale, scale));
   grad_.resize(value_.size(), 0.0);

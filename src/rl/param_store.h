@@ -44,6 +44,16 @@ class ParamStore {
     return std::span<double>(grad_).subspan(v.offset, v.size);
   }
 
+  /// The whole value / gradient arrays, in alloc order.
+  std::span<const double> values() const {
+    ThreadRoleGuard coordinator(role_);
+    return value_;
+  }
+  std::span<const double> grads() const {
+    ThreadRoleGuard coordinator(role_);
+    return grad_;
+  }
+
   std::size_t size() const {
     ThreadRoleGuard coordinator(role_);
     return value_.size();

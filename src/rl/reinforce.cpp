@@ -6,6 +6,15 @@
 
 namespace yoso {
 
+Episode ReinforceTrainer::propose(Rng& rng) {
+  if (pending_ > 0) {
+    controller_.update(options_.lr, options_.max_grad_norm);
+    pending_ = 0;
+    obs::counter_add("rl.updates");
+  }
+  return controller_.sample(rng);
+}
+
 void ReinforceTrainer::feedback(const Episode& episode, double reward) {
   const double b =
       options_.use_baseline && !baseline_.empty() ? baseline_.value() : 0.0;
@@ -14,12 +23,8 @@ void ReinforceTrainer::feedback(const Episode& episode, double reward) {
                                   options_.entropy_weight);
   baseline_.add(reward);
   ++episodes_;
+  ++pending_;
   obs::counter_add("rl.episodes");
-  if (++pending_ >= options_.batch_size) {
-    controller_.update(options_.lr, options_.max_grad_norm);
-    pending_ = 0;
-    obs::counter_add("rl.updates");
-  }
 }
 
 std::vector<int> RandomSearcher::propose(Rng& rng) const {

@@ -1,9 +1,16 @@
 #pragma once
 // REINFORCE training loop around the LSTM controller (paper Eq. 3-4):
 // the controller proposes an action sequence, the caller scores it with the
-// multi-objective reward, and feedback() applies the policy gradient with a
-// moving-average baseline (variance reduction that "significantly expedites
-// the search") and an entropy bonus.
+// multi-objective reward, and feedback() accumulates the policy gradient
+// with a moving-average baseline (variance reduction that "significantly
+// expedites the search") and an entropy bonus.
+//
+// The round is the update unit: feedback() only accumulates the episode's
+// gradient at the parameters that sampled it, and the next propose()
+// applies everything pending as one clipped Adam step.  A caller that
+// proposes k episodes and then feeds all k back (YosoSearch at batch k)
+// gets the true policy gradient of its round; alternating propose and
+// feedback updates after every episode.
 
 #include "rl/controller.h"
 #include "util/rng.h"
@@ -15,7 +22,6 @@ struct ReinforceOptions {
   double lr = 0.0035;            ///< Adam learning rate (paper §IV.C)
   double baseline_decay = 0.95;  ///< moving-average baseline decay
   double entropy_weight = 1e-4;  ///< paper: entropy weighted by 0.0001
-  int batch_size = 1;            ///< episodes per Adam update
   double max_grad_norm = 5.0;
   bool use_baseline = true;      ///< off for the ablation bench
 };
@@ -27,11 +33,13 @@ class ReinforceTrainer {
         options_(options),
         baseline_(options.baseline_decay) {}
 
-  /// Samples one candidate action sequence.
-  Episode propose(Rng& rng) { return controller_.sample(rng); }
+  /// Applies the pending round's Adam step, if any feedback arrived since
+  /// the last one, then samples one candidate action sequence.
+  Episode propose(Rng& rng);
 
-  /// Feeds back the reward for an episode; accumulates the gradient and
-  /// applies an Adam update every batch_size episodes.
+  /// Feeds back the reward for an episode of the current round: accumulates
+  /// its gradient (ContractViolation for an episode proposed before the
+  /// last update).
   void feedback(const Episode& episode, double reward);
 
   double baseline_value() const {

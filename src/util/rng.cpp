@@ -4,6 +4,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "base/contract.h"
+
 namespace yoso {
 
 namespace {
@@ -82,22 +84,22 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  if (weights.empty())
-    throw std::invalid_argument("Rng::weighted_index: empty weights");
+std::size_t Rng::weighted_index(const double* weights, std::size_t n) {
+  YOSO_REQUIRE(weights != nullptr && n > 0,
+               "Rng::weighted_index: empty weights");
   double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0)
+  for (std::size_t i = 0; i < n; ++i) {
+    if (weights[i] < 0.0)
       throw std::invalid_argument("Rng::weighted_index: negative weight");
-    total += w;
+    total += weights[i];
   }
-  if (total <= 0.0) return uniform_index(weights.size());
+  if (total <= 0.0) return uniform_index(n);
   double x = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     x -= weights[i];
     if (x < 0.0) return i;
   }
-  return weights.size() - 1;
+  return n - 1;
 }
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {

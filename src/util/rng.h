@@ -44,7 +44,10 @@ class Rng {
 
   /// Samples an index from an (unnormalised, non-negative) weight vector.
   /// Falls back to uniform choice when all weights are zero.
-  std::size_t weighted_index(const std::vector<double>& weights);
+  std::size_t weighted_index(const std::vector<double>& weights) {
+    return weighted_index(weights.data(), weights.size());
+  }
+  std::size_t weighted_index(const double* weights, std::size_t n);
 
   /// Fisher-Yates shuffle of an index range [0, n); returns the permutation.
   std::vector<std::size_t> permutation(std::size_t n);

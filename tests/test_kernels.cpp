@@ -4,6 +4,7 @@
 // (bit-identical output at any thread count, sub-range calls identical to
 // full-range calls).
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -150,6 +151,60 @@ TEST(KernelsTest, SgemmAtbAccAccumulatesOnTopOfC) {
                         1e-4f * static_cast<float>(m))
             << m << "x" << k << "x" << n;
       }
+  }
+}
+
+TEST(KernelsTest, GemmAtbAccAccumulatesOnTopOfC) {
+  // Shapes straddle the 2-row pairing, the 16/4-column tiles and the
+  // i-block, and include the controller's (T+1)k x 4H x H fold.
+  Rng rng(24);
+  const std::size_t shapes[][3] = {{1, 1, 1},    {5, 3, 9},   {1, 7, 120},
+                                   {140, 6, 33}, {17, 41, 32}, {90, 480, 120}};
+  for (const auto& s : shapes) {
+    const std::size_t m = s[0], k = s[1], n = s[2];
+    const auto a = random_vec(rng, m * k);
+    const auto b = random_vec(rng, m * n);
+    std::vector<double> c = random_vec(rng, k * n);
+    const std::vector<double> c0 = c;
+    kernels::gemm_atb_acc(a.data(), b.data(), c.data(), m, k, n);
+    for (std::size_t t = 0; t < k; ++t)
+      for (std::size_t j = 0; j < n; ++j) {
+        double ref = c0[t * n + j];
+        for (std::size_t i = 0; i < m; ++i)
+          ref += a[i * k + t] * b[i * n + j];
+        ASSERT_NEAR(c[t * n + j], ref, 1e-12 * (1.0 + std::abs(ref)) * m)
+            << m << "x" << k << "x" << n << " @(" << t << "," << j << ")";
+      }
+  }
+}
+
+TEST(KernelsTest, GemvTAccMatchesNaiveAndIgnoresWidth) {
+  // y += A^T x for every panel width the AVX2 path dispatches (8 down to
+  // 1 vectors plus scalar tails); a column's result must not depend on n,
+  // so the first 5 columns of a wide call equal a 5-column call on the
+  // same leading panel.
+  Rng rng(25);
+  for (const std::size_t n : {1u, 3u, 4u, 7u, 20u, 31u, 32u, 61u, 120u, 480u}) {
+    const std::size_t m = 37;
+    const auto a = random_vec(rng, m * n);
+    const auto x = random_vec(rng, m);
+    std::vector<double> y = random_vec(rng, n);
+    const std::vector<double> y0 = y;
+    kernels::gemv_t_acc(a.data(), x.data(), y.data(), m, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      double ref = y0[j];
+      for (std::size_t i = 0; i < m; ++i) ref += x[i] * a[i * n + j];
+      ASSERT_NEAR(y[j], ref, 1e-12 * (1.0 + std::abs(ref)) * m)
+          << "n=" << n << " col " << j;
+    }
+    const std::size_t w = std::min<std::size_t>(5, n);
+    std::vector<double> narrow(m * w);
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < w; ++j) narrow[i * w + j] = a[i * n + j];
+    std::vector<double> yn(y0.begin(), y0.begin() + static_cast<long>(w));
+    kernels::gemv_t_acc(narrow.data(), x.data(), yn.data(), m, w);
+    for (std::size_t j = 0; j < w; ++j)
+      ASSERT_EQ(yn[j], y[j]) << "n=" << n << " col " << j;
   }
 }
 
@@ -300,6 +355,20 @@ TEST_P(KernelsParallelTest, SgemmAtbAccBitIdenticalToSerial) {
   kernels::sgemm_atb_acc(a.data(), b.data(), serial.data(), m, k, n, nullptr);
   ThreadPool pool(GetParam());
   kernels::sgemm_atb_acc(a.data(), b.data(), pooled.data(), m, k, n, &pool);
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    ASSERT_EQ(serial[i], pooled[i]) << "workers=" << GetParam() << " @" << i;
+}
+
+TEST_P(KernelsParallelTest, GemmAtbAccBitIdenticalToSerial) {
+  Rng rng(44);
+  const std::size_t m = 135, k = 67, n = 40;
+  const auto a = random_vec(rng, m * k);
+  const auto b = random_vec(rng, m * n);
+  std::vector<double> serial(k * n, 0.5);
+  std::vector<double> pooled = serial;
+  kernels::gemm_atb_acc(a.data(), b.data(), serial.data(), m, k, n, nullptr);
+  ThreadPool pool(GetParam());
+  kernels::gemm_atb_acc(a.data(), b.data(), pooled.data(), m, k, n, &pool);
   for (std::size_t i = 0; i < serial.size(); ++i)
     ASSERT_EQ(serial[i], pooled[i]) << "workers=" << GetParam() << " @" << i;
 }

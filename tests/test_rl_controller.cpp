@@ -1,6 +1,8 @@
 #include <cmath>
 #include <gtest/gtest.h>
+#include <sstream>
 
+#include "base/contract.h"
 #include "rl/controller.h"
 #include "rl/param_store.h"
 #include "util/rng.h"
@@ -83,7 +85,9 @@ TEST(Controller, ProbabilitiesNormalised) {
   LstmController ctrl(toy_cards(), {});
   Rng rng(6);
   const Episode ep = ctrl.sample(rng);
-  for (const auto& p : ep.probs) {
+  for (int t = 0; t < ctrl.num_steps(); ++t) {
+    const auto p = ctrl.step_probs(ep, t);
+    ASSERT_EQ(p.size(), static_cast<std::size_t>(toy_cards()[t]));
     double sum = 0.0;
     for (double v : p) {
       EXPECT_GE(v, 0.0);
@@ -102,8 +106,8 @@ TEST(Controller, TanhConstantBoundsLogits) {
   Rng rng(7);
   const Episode ep = ctrl.sample(rng);
   const double floor = std::exp(-2.0 * 2.5) / 6.0;
-  for (const auto& p : ep.probs)
-    for (double v : p) EXPECT_GE(v, floor * 0.99);
+  for (int t = 0; t < ctrl.num_steps(); ++t)
+    for (double v : ctrl.step_probs(ep, t)) EXPECT_GE(v, floor * 0.99);
 }
 
 TEST(Controller, ArgmaxDeterministic) {
@@ -155,6 +159,86 @@ TEST(Controller, UpdateZeroesGradients) {
   const auto a1 = ctrl.argmax_actions();
   ctrl.update(0.01);
   EXPECT_EQ(ctrl.argmax_actions(), a1);
+}
+
+TEST(Controller, UpdateBumpsVersionAndSampleStampsIt) {
+  LstmController ctrl(toy_cards(), {});
+  Rng rng(12);
+  const std::uint64_t v0 = ctrl.version();
+  const Episode a = ctrl.sample(rng);
+  const Episode b = ctrl.sample(rng);
+  EXPECT_EQ(a.version, v0);
+  EXPECT_EQ(b.version, v0);
+  EXPECT_NE(a.slot, b.slot);
+  ctrl.update(0.01);
+  EXPECT_EQ(ctrl.version(), v0 + 1);
+  EXPECT_EQ(ctrl.sample(rng).version, v0 + 1);
+}
+
+TEST(Controller, StaleEpisodeRejected) {
+  LstmController ctrl(toy_cards(), {});
+  Rng rng(13);
+  const Episode old = ctrl.sample(rng);
+  ctrl.update(0.01);
+  EXPECT_THROW(ctrl.accumulate_gradient(old, 1.0, 1e-4), ContractViolation);
+  EXPECT_THROW((void)ctrl.step_probs(old, 0), ContractViolation);
+  // A checkpoint load changes the weights too, so it also starts a version.
+  const Episode before_load = ctrl.sample(rng);
+  std::stringstream ss;
+  ctrl.save(ss);
+  ctrl.load(ss);
+  EXPECT_THROW(ctrl.accumulate_gradient(before_load, 1.0, 1e-4),
+               ContractViolation);
+}
+
+TEST(Controller, EpisodeFedBackOnlyOnce) {
+  LstmController ctrl(toy_cards(), {});
+  Rng rng(14);
+  const Episode ep = ctrl.sample(rng);
+  ctrl.accumulate_gradient(ep, 1.0, 1e-4);
+  EXPECT_THROW(ctrl.accumulate_gradient(ep, 1.0, 1e-4), ContractViolation);
+  EXPECT_THROW(ctrl.accumulate_gradient(Episode{}, 1.0, 1e-4),
+               ContractViolation);
+}
+
+TEST(Controller, RoundGradientIsSumOfEpisodeGradients) {
+  // A round's pending gradient is the sum of what each fed-back episode
+  // contributes alone at the same weights, in any feedback order; an
+  // episode not yet fed back contributes nothing, and may still be fed
+  // back after gradient() has folded the others.
+  ControllerOptions opt;
+  opt.hidden_size = 16;
+  opt.embed_size = 8;
+  const double adv[3] = {0.7, -1.3, 0.4};
+  auto alone = [&](int i) {
+    LstmController one(toy_cards(), opt);
+    Rng r(15);
+    std::vector<Episode> eps;
+    for (int j = 0; j <= i; ++j) eps.push_back(one.sample(r));
+    one.accumulate_gradient(eps.back(), adv[i], 1e-2);
+    const auto g = one.gradient();
+    return std::vector<double>(g.begin(), g.end());
+  };
+  LstmController round(toy_cards(), opt);
+  Rng rng(15);
+  std::vector<Episode> eps;
+  for (int i = 0; i < 3; ++i) eps.push_back(round.sample(rng));
+  round.accumulate_gradient(eps[2], adv[2], 1e-2);
+  round.accumulate_gradient(eps[0], adv[0], 1e-2);
+  const auto g0 = alone(0), g1 = alone(1), g2 = alone(2);
+  using Parts = std::initializer_list<const std::vector<double>*>;
+  auto expect_sum = [&](Parts parts) {
+    const auto got = round.gradient();
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      double want = 0.0;
+      for (const auto* p : parts) want += (*p)[k];
+      ASSERT_NEAR(got[k], want, 1e-12 * (1.0 + std::abs(want)))
+          << "parameter " << k;
+    }
+  };
+  expect_sum({&g0, &g2});
+  round.accumulate_gradient(eps[1], adv[1], 1e-2);
+  expect_sum({&g0, &g1, &g2});
 }
 
 TEST(Controller, ParamCountScalesWithSpace) {

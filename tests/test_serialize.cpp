@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
+#include <string>
 
 #include "accel/config.h"
 #include "arch/genotype.h"
+#include "arch/network.h"
 #include "arch/ops.h"
 #include "core/design_space.h"
 #include "core/serialize.h"
@@ -105,6 +107,38 @@ TEST(Serialize, CandidateRoundTrip) {
     const CandidateDesign c = space.random_candidate(rng);
     EXPECT_EQ(parse_candidate(serialize_candidate(c)), c);
   }
+}
+
+TEST(Serialize, SearchedSkeletonCandidateRoundTrip) {
+  // A searched-space candidate carries its skeleton choice through the
+  // text form; the fixed-space text is unchanged (no suffix).
+  DesignSpace searched(default_config_space(), SkeletonAxis::kSearched);
+  Rng rng(4);
+  for (int i = 0; i < 50; ++i) {
+    const CandidateDesign c = searched.random_candidate(rng);
+    ASSERT_TRUE(c.skeleton.is_set());
+    const std::string text = serialize_candidate(c);
+    EXPECT_EQ(parse_candidate(text), c) << text;
+  }
+  CandidateDesign c = searched.random_candidate(rng);
+  c.skeleton = {2, 1};  // 3 normal cells per stage, 24 stem channels
+  const std::string text = serialize_candidate(c);
+  EXPECT_EQ(text.substr(text.size() - 5), "#3x24");
+  c.skeleton = {};
+  EXPECT_EQ(serialize_candidate(c), text.substr(0, text.size() - 5));
+}
+
+TEST(Serialize, SkeletonSuffixRangeChecked) {
+  DesignSpace space;
+  Rng rng(5);
+  const std::string base = serialize_candidate(space.random_candidate(rng));
+  EXPECT_NO_THROW(parse_candidate(base + "#1x16"));
+  for (const char* bad : {"#4x24", "#0x24", "#2x20", "#2", "#2x24x1", "#ax24",
+                          "#"})
+    EXPECT_THROW(parse_candidate(base + bad), std::invalid_argument) << bad;
+  CandidateDesign c = space.random_candidate(rng);
+  c.skeleton = {3, 0};
+  EXPECT_THROW(serialize_candidate(c), std::invalid_argument);
 }
 
 TEST(Serialize, CandidateRejectsMissingSeparator) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 #include <sstream>
 
+#include "arch/network.h"
 #include "core/design_space.h"
 #include "core/search.h"
+#include "core/serialize.h"
 #include "core/trace_io.h"
 #include "util/rng.h"
 
@@ -44,6 +46,39 @@ TEST(TraceIo, RoundTrip) {
     EXPECT_NEAR(trace[i].reward, r.trace[i].reward, 1e-9);
     EXPECT_NEAR(trace[i].result.energy_mj, r.trace[i].result.energy_mj, 1e-9);
     EXPECT_EQ(trace[i].candidate, r.trace[i].candidate);
+  }
+}
+
+TEST(TraceIo, RoundTripKeepsSkeletonChoice) {
+  // Searched-space designs read back as the same designs, skeleton
+  // included, from both the trace and the finalists CSV.
+  DesignSpace searched(default_config_space(), SkeletonAxis::kSearched);
+  Rng rng(9);
+  SearchResult r = make_result(4);
+  for (SearchTracePoint& p : r.trace)
+    p.candidate = searched.random_candidate(rng);
+  for (RankedCandidate& f : r.finalists)
+    f.candidate = searched.random_candidate(rng);
+  std::ostringstream os;
+  write_trace_csv(os, r);
+  std::istringstream is(os.str());
+  const auto trace = read_trace_csv(is);
+  ASSERT_EQ(trace.size(), r.trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    ASSERT_TRUE(trace[i].candidate.skeleton.is_set());
+    EXPECT_EQ(trace[i].candidate, r.trace[i].candidate);
+  }
+  std::ostringstream fs;
+  write_finalists_csv(fs, r);
+  std::istringstream fis(fs.str());
+  std::string line;
+  std::getline(fis, line);  // header
+  for (const RankedCandidate& f : r.finalists) {
+    ASSERT_TRUE(std::getline(fis, line));
+    // The candidate is the last field and the only one after the 7th comma.
+    std::size_t pos = 0;
+    for (int c = 0; c < 7; ++c) pos = line.find(',', pos) + 1;
+    EXPECT_EQ(parse_candidate(line.substr(pos)), f.candidate);
   }
 }
 
