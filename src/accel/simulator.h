@@ -60,6 +60,8 @@ class SystolicSimulator {
   /// Simulates a concrete layer list on a configuration.  `batch` > 1
   /// models throughput-mode inference: weight DRAM traffic is paid once per
   /// batch while activations scale per image; results are per-image.
+  /// Each distinct layer shape is modelled once per call; later layers of
+  /// the same shape reuse its result (identical to re-modelling it).
   SimulationResult simulate(const std::vector<Layer>& layers,
                             const AcceleratorConfig& config,
                             int batch = 1) const;
@@ -71,6 +73,14 @@ class SystolicSimulator {
                                     int batch = 1) const;
 
  private:
+  /// The per-layer model: mapping, cycles and dynamic energy of one layer.
+  /// Pure in the layer's shape fields — it reads no `name` and keeps no
+  /// state between layers — which is what lets simulate() reuse a result
+  /// for a repeated shape.
+  LayerSimResult simulate_layer(const Layer& layer,
+                                const AcceleratorConfig& config,
+                                int batch) const;
+
   /// Tile-by-tile pipeline walk used by kCycleLevel.
   double cycle_level_cycles(const Layer& layer, const LayerMapping& mapping,
                             const AcceleratorConfig& config) const;
