@@ -25,10 +25,10 @@
 // landing on one side only.
 //
 // `--emit-profile [PATH]` runs predictor construction, memo-cold passes and
-// a short RL co-search (64 iterations, batch 8) with tracing enabled and
-// writes the merged span aggregates as the span-cost profile yoso-lint's
-// perf rules consume (the committed copy lives at
-// tools/yoso_hot_profile.json; DESIGN.md §15).
+// a short RL co-search (64 iterations, batch 8) with tracing enabled, five
+// times, and writes each span's median aggregates over the five passes as
+// the span-cost profile yoso-lint's perf rules consume (the committed copy
+// lives at tools/yoso_hot_profile.json; DESIGN.md §15).
 //
 // Part 2 — inference batch-size sweep: the paper evaluates single-image
 // (batch-1) edge inference.  Server-style deployment batches images,
@@ -38,11 +38,14 @@
 // shift once weights stop dominating.
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "accel/config.h"
@@ -263,12 +266,10 @@ bool bench_candidate_throughput(yoso::BenchJson& json, bool smoke) {
   return true;
 }
 
-/// `--emit-profile`: instrumented predictor builds, memo-cold passes and a
-/// short RL co-search; span aggregates written as the yoso-lint hot-set
-/// profile.
-int emit_profile(const std::string& path) {
+/// One instrumented pass of the `--emit-profile` body: predictor builds,
+/// memo-cold passes and a short RL co-search.  Returns a checksum.
+double profile_pass() {
   using namespace yoso;
-  obs::set_enabled(true);
   DesignSpace space;
   const NetworkSkeleton skeleton = default_skeleton();
   SystolicSimulator sim({}, SimFidelity::kAnalytical);
@@ -312,9 +313,40 @@ int emit_profile(const std::string& path) {
   rl_options.top_n = 4;
   rl_options.seed = 11;
   sink += YosoSearch(space, rl_options).run(fast, &accurate).best_fast_reward;
+  return sink;
+}
 
-  const std::vector<obs::SpanAggregate> spans = obs::summarize_spans();
+/// `--emit-profile`: kProfilePasses instrumented passes, each span's
+/// count / total_ns / self_ns the median over the passes (one sub-second
+/// pass reorders the hot set on host noise), written as the yoso-lint
+/// hot-set profile.
+int emit_profile(const std::string& path) {
+  using namespace yoso;
+  constexpr std::size_t kProfilePasses = 5;
+  std::map<std::string, std::vector<obs::SpanAggregate>> passes;
+  double sink = 0.0;
+  obs::set_enabled(true);
+  for (std::size_t p = 0; p < kProfilePasses; ++p) {
+    obs::reset_tracing();
+    sink += profile_pass();
+    for (obs::SpanAggregate& s : obs::summarize_spans())
+      passes[s.name].push_back(std::move(s));
+  }
   obs::set_enabled(false);
+  auto median = [](std::vector<std::uint64_t> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  std::vector<obs::SpanAggregate> spans;
+  for (const auto& [name, seen] : passes) {
+    std::vector<std::uint64_t> count, total, self;
+    for (const obs::SpanAggregate& s : seen) {
+      count.push_back(s.count);
+      total.push_back(s.total_ns);
+      self.push_back(s.self_ns);
+    }
+    spans.push_back({name, median(count), median(total), median(self)});
+  }
   std::ofstream os(path);
   if (!os) {
     std::cerr << "emit-profile: cannot open " << path << " for writing\n";
@@ -330,7 +362,8 @@ int emit_profile(const std::string& path) {
   }
   os << "  ]\n}\n";
   os.close();
-  std::cout << "emit-profile: wrote " << spans.size() << " span(s) to "
+  std::cout << "emit-profile: wrote " << spans.size()
+            << " span(s), medians of " << kProfilePasses << " passes, to "
             << path << "  [checksum " << TextTable::fmt(sink, 1) << "]\n";
   for (const obs::SpanAggregate& s : spans)
     std::cout << "  " << s.name << "  count " << s.count << "  self "

@@ -181,12 +181,10 @@ void YosoSearch::search(SearchLoop& loop, Rng& rng) {
   std::size_t it = 0;
   while (it < options_.iterations) {
     const std::size_t k = std::min(round, options_.iterations - it);
-    episodes.clear();
     batch.clear();
-    for (std::size_t j = 0; j < k; ++j) {
-      episodes.push_back(trainer.propose(rng));
-      batch.push_back(space_.decode(episodes.back().actions));
-    }
+    trainer.propose_round(k, rng, episodes);
+    for (const Episode& ep : episodes)
+      batch.push_back(space_.decode(ep.actions));
     loop.submit(batch, rewards);
     for (std::size_t j = 0; j < k; ++j)
       trainer.feedback(episodes[j], rewards[j]);

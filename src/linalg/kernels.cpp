@@ -29,7 +29,6 @@ namespace {
 
 constexpr std::size_t kRowBlock = 8;    // pool partition unit (rows)
 constexpr std::size_t kAccIBlock = 128; // i-blocking for A^T B accumulation
-constexpr std::size_t kDAccIBlock = 32; // same for double A^T B (datb_*)
 
 bool use_avx2() {
 #if YOSO_KERNELS_X86
@@ -163,29 +162,19 @@ void satb_rows_generic(const float* a, const float* b, float* c,
   }
 }
 
-void datb_rows_generic(const double* a, const double* b, double* c,
-                       std::size_t t0, std::size_t t1, std::size_t m,
-                       std::size_t kk, std::size_t n) {
-  for (std::size_t ib = 0; ib < m; ib += kDAccIBlock) {
-    const std::size_t ie = std::min(m, ib + kDAccIBlock);
-    for (std::size_t t = t0; t < t1; ++t) {
-      double* ct = c + t * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        double s = ct[j];
-        for (std::size_t i = ib; i < ie; ++i)
-          s += a[i * kk + t] * b[i * n + j];
-        ct[j] = s;
-      }
+// Y(r, j) += X(r, i) * A(i, j) over i in order, X(r, i) at x[r xr + i xi]:
+// the one generic body behind gemm_acc (xi = 1) and gemm_atb_acc (X = A^T,
+// xr = 1).
+void acc_rows_generic(const double* x, std::size_t xr, std::size_t xi,
+                      const double* a, double* y, std::size_t ldy,
+                      std::size_t k, std::size_t m, std::size_t n) {
+  for (std::size_t r = 0; r < k; ++r) {
+    double* yr = y + r * ldy;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double v = x[r * xr + i * xi];
+      const double* ai = a + i * n;
+      for (std::size_t j = 0; j < n; ++j) yr[j] += v * ai[j];
     }
-  }
-}
-
-void gemv_t_acc_generic(const double* a, const double* x, double* y,
-                        std::size_t m, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double xi = x[i];
-    const double* ai = a + i * n;
-    for (std::size_t j = 0; j < n; ++j) y[j] += xi * ai[j];
   }
 }
 
@@ -220,6 +209,21 @@ void exp_scale_generic(const double* in, double* out, std::size_t n,
                        double scale, double mult) {
   for (std::size_t i = 0; i < n; ++i)
     out[i] = mult * exp_core(scale * in[i]);
+}
+
+void adam_generic(double* value, double* grad, double* m, double* v,
+                  std::size_t i0, std::size_t n, const AdamCoeffs& c) {
+  const double c1 = 1.0 - c.beta1;
+  const double c2 = 1.0 - c.beta2;
+  for (std::size_t i = i0; i < n; ++i) {
+    const double g = grad[i] * c.grad_scale;
+    m[i] = c.beta1 * m[i] + c1 * g;
+    v[i] = c.beta2 * v[i] + c2 * g * g;
+    const double mhat = m[i] / c.bc1;
+    const double vhat = v[i] / c.bc2;
+    value[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+    grad[i] = 0.0;
+  }
 }
 
 // --- AVX2+FMA engine -------------------------------------------------------
@@ -502,147 +506,127 @@ __attribute__((target("avx2,fma"))) void satb_rows_avx2(
   }
 }
 
-// The j (column-panel) loop runs outermost inside an i-block, so one tile
-// column of B (iblock x 16 doubles) stays in L1 across every row t of C,
-// and the i-block is short because each row of A the tile reads from is a
-// different page at the controller's widths.  The per-element chains are
-// the generic engine's: fixed i order, C reloaded once per i-block.
-__attribute__((target("avx2,fma"))) void datb_rows_avx2(
-    const double* a, const double* b, double* c, std::size_t t0,
-    std::size_t t1, std::size_t m, std::size_t kk, std::size_t n) {
-  for (std::size_t ib = 0; ib < m; ib += kDAccIBlock) {
-    const std::size_t ie = std::min(m, ib + kDAccIBlock);
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      std::size_t t = t0;
-      for (; t + 2 <= t1; t += 2) {
-        double* c0 = c + t * n + j;
-        double* c1 = c0 + n;
-        const double* at = a + t;
-        __m256d s00 = _mm256_loadu_pd(c0);
-        __m256d s01 = _mm256_loadu_pd(c0 + 4);
-        __m256d s02 = _mm256_loadu_pd(c0 + 8);
-        __m256d s03 = _mm256_loadu_pd(c0 + 12);
-        __m256d s10 = _mm256_loadu_pd(c1);
-        __m256d s11 = _mm256_loadu_pd(c1 + 4);
-        __m256d s12 = _mm256_loadu_pd(c1 + 8);
-        __m256d s13 = _mm256_loadu_pd(c1 + 12);
-        for (std::size_t i = ib; i < ie; ++i) {
-          const double* bi = b + i * n + j;
-          const __m256d b0 = _mm256_loadu_pd(bi);
-          const __m256d b1 = _mm256_loadu_pd(bi + 4);
-          const __m256d b2 = _mm256_loadu_pd(bi + 8);
-          const __m256d b3 = _mm256_loadu_pd(bi + 12);
-          const __m256d v0 = _mm256_set1_pd(at[i * kk]);
-          const __m256d v1 = _mm256_set1_pd(at[i * kk + 1]);
-          s00 = _mm256_fmadd_pd(v0, b0, s00);
-          s01 = _mm256_fmadd_pd(v0, b1, s01);
-          s02 = _mm256_fmadd_pd(v0, b2, s02);
-          s03 = _mm256_fmadd_pd(v0, b3, s03);
-          s10 = _mm256_fmadd_pd(v1, b0, s10);
-          s11 = _mm256_fmadd_pd(v1, b1, s11);
-          s12 = _mm256_fmadd_pd(v1, b2, s12);
-          s13 = _mm256_fmadd_pd(v1, b3, s13);
-        }
-        _mm256_storeu_pd(c0, s00);
-        _mm256_storeu_pd(c0 + 4, s01);
-        _mm256_storeu_pd(c0 + 8, s02);
-        _mm256_storeu_pd(c0 + 12, s03);
-        _mm256_storeu_pd(c1, s10);
-        _mm256_storeu_pd(c1 + 4, s11);
-        _mm256_storeu_pd(c1 + 8, s12);
-        _mm256_storeu_pd(c1 + 12, s13);
-      }
-      for (; t < t1; ++t) {
-        double* c0 = c + t * n + j;
-        const double* at = a + t;
-        __m256d s00 = _mm256_loadu_pd(c0);
-        __m256d s01 = _mm256_loadu_pd(c0 + 4);
-        __m256d s02 = _mm256_loadu_pd(c0 + 8);
-        __m256d s03 = _mm256_loadu_pd(c0 + 12);
-        for (std::size_t i = ib; i < ie; ++i) {
-          const double* bi = b + i * n + j;
-          const __m256d v0 = _mm256_set1_pd(at[i * kk]);
-          s00 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bi), s00);
-          s01 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bi + 4), s01);
-          s02 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bi + 8), s02);
-          s03 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bi + 12), s03);
-        }
-        _mm256_storeu_pd(c0, s00);
-        _mm256_storeu_pd(c0 + 4, s01);
-        _mm256_storeu_pd(c0 + 8, s02);
-        _mm256_storeu_pd(c0 + 12, s03);
-      }
-    }
-    for (; j + 4 <= n; j += 4) {
-      for (std::size_t t = t0; t < t1; ++t) {
-        double* c0 = c + t * n + j;
-        const double* at = a + t;
-        __m256d s0 = _mm256_loadu_pd(c0);
-        for (std::size_t i = ib; i < ie; ++i)
-          s0 = _mm256_fmadd_pd(_mm256_set1_pd(at[i * kk]),
-                               _mm256_loadu_pd(b + i * n + j), s0);
-        _mm256_storeu_pd(c0, s0);
-      }
-    }
-    for (; j < n; ++j) {
-      for (std::size_t t = t0; t < t1; ++t) {
-        const double* at = a + t;
-        double s0 = c[t * n + j];
-        for (std::size_t i = ib; i < ie; ++i)
-          s0 = std::fma(at[i * kk], b[i * n + j], s0);
-        c[t * n + j] = s0;
-      }
-    }
-  }
-}
-
-// y[0, 4 * sizeof...(V)) += A^T x over one column panel of A (row stride
-// n): one ymm accumulator per V, each element's chain a fixed-order fma
-// over the rows, so the panel width never changes a result.  The pack
-// expansions index `s` with constants, so it lives in registers.
-template <std::size_t... V>
+// Y[0, R) x [0, 4 NB) += X A[ib, ie) over one column panel of A (row
+// stride n) for R = sizeof...(I) / NB rows at once, X(r, i) at
+// x[r xr + i xi]: accumulator I is row I / NB, vector I % NB, and every
+// element's chain is a fixed-order fma over i started from Y, so neither R,
+// NB nor the i-blocking changes a result.  The pack expansions index `s`
+// with constants, so it lives in registers, and the repeated loads of one
+// A vector / one X element within an iteration fold into one.
+template <std::size_t NB, std::size_t... I>
 __attribute__((target("avx2,fma"), always_inline)) inline void
-gemv_t_panel_avx2(std::index_sequence<V...>, const double* a,
-                  const double* x, double* y, std::size_t m, std::size_t n) {
-  __m256d s[] = {_mm256_loadu_pd(y + 4 * V)...};
-  for (std::size_t i = 0; i < m; ++i) {
-    const __m256d xv = _mm256_set1_pd(x[i]);
+acc_tile_avx2(std::index_sequence<I...>, const double* x, std::size_t xr,
+              std::size_t xi, const double* a, double* y, std::size_t ldy,
+              std::size_t ib, std::size_t ie, std::size_t n) {
+  __m256d s[] = {_mm256_loadu_pd(y + I / NB * ldy + 4 * (I % NB))...};
+  for (std::size_t i = ib; i < ie; ++i) {
     const double* ai = a + i * n;
-    ((s[V] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(ai + 4 * V), s[V])), ...);
+    const double* xv = x + i * xi;
+    ((s[I] = _mm256_fmadd_pd(_mm256_set1_pd(xv[I / NB * xr]),
+                             _mm256_loadu_pd(ai + 4 * (I % NB)), s[I])),
+     ...);
   }
-  (_mm256_storeu_pd(y + 4 * V, s[V]), ...);
+  (_mm256_storeu_pd(y + I / NB * ldy + 4 * (I % NB), s[I]), ...);
 }
 
+constexpr std::size_t kAccTileRows = 4;   // rows of Y per tile
+constexpr std::size_t kAccTileVecs = 3;   // ymm columns per full panel
+constexpr std::size_t kAccPanelRows = 64; // rows of A per L1-resident block
+
+// All k rows of Y over one column panel of NB vectors: each block of the
+// panel (kAccPanelRows x 4 NB doubles of A) is read from L2 once and from
+// L1 by every row group, which is what running k rows together buys.
 template <std::size_t NB>
 __attribute__((target("avx2,fma"), always_inline)) inline void
-gemv_t_panel_avx2(const double* a, const double* x, double* y, std::size_t m,
-                  std::size_t n) {
-  gemv_t_panel_avx2(std::make_index_sequence<NB>(), a, x, y, m, n);
+acc_panel_avx2(const double* x, std::size_t xr, std::size_t xi,
+               const double* a, double* y, std::size_t ldy, std::size_t k,
+               std::size_t m, std::size_t n) {
+  for (std::size_t ib = 0; ib < m; ib += kAccPanelRows) {
+    const std::size_t ie = std::min(m, ib + kAccPanelRows);
+    std::size_t r = 0;
+    for (; r + kAccTileRows <= k; r += kAccTileRows)
+      acc_tile_avx2<NB>(std::make_index_sequence<kAccTileRows * NB>(),
+                        x + r * xr, xr, xi, a, y + r * ldy, ldy, ib, ie, n);
+    static_assert(kAccTileRows == 4, "row-remainder switch below");
+    const double* xt = x + r * xr;
+    double* yt = y + r * ldy;
+    switch (k - r) {
+      case 3:
+        acc_tile_avx2<NB>(std::make_index_sequence<3 * NB>(), xt, xr, xi, a,
+                          yt, ldy, ib, ie, n);
+        break;
+      case 2:
+        acc_tile_avx2<NB>(std::make_index_sequence<2 * NB>(), xt, xr, xi, a,
+                          yt, ldy, ib, ie, n);
+        break;
+      case 1:
+        acc_tile_avx2<NB>(std::make_index_sequence<NB>(), xt, xr, xi, a, yt,
+                          ldy, ib, ie, n);
+        break;
+      default: break;
+    }
+  }
 }
 
-__attribute__((target("avx2,fma"))) void gemv_t_acc_avx2(
-    const double* a, const double* x, double* y, std::size_t m,
-    std::size_t n) {
+// The AVX2 twin of acc_rows_generic.
+__attribute__((target("avx2,fma"))) void acc_rows_avx2(
+    const double* x, std::size_t xr, std::size_t xi, const double* a,
+    double* y, std::size_t ldy, std::size_t k, std::size_t m, std::size_t n) {
   std::size_t j = 0;
-  for (; j + 32 <= n; j += 32) gemv_t_panel_avx2<8>(a + j, x, y + j, m, n);
-  // The leftover whole vectors go in one more pass over the rows.
+  for (; j + 4 * kAccTileVecs <= n; j += 4 * kAccTileVecs)
+    acc_panel_avx2<kAccTileVecs>(x, xr, xi, a + j, y + j, ldy, k, m, n);
+  // The leftover whole vectors go in one more panel.
+  static_assert(kAccTileVecs == 3, "vector-remainder switch below");
   switch ((n - j) / 4) {
-    case 7: gemv_t_panel_avx2<7>(a + j, x, y + j, m, n); break;
-    case 6: gemv_t_panel_avx2<6>(a + j, x, y + j, m, n); break;
-    case 5: gemv_t_panel_avx2<5>(a + j, x, y + j, m, n); break;
-    case 4: gemv_t_panel_avx2<4>(a + j, x, y + j, m, n); break;
-    case 3: gemv_t_panel_avx2<3>(a + j, x, y + j, m, n); break;
-    case 2: gemv_t_panel_avx2<2>(a + j, x, y + j, m, n); break;
-    case 1: gemv_t_panel_avx2<1>(a + j, x, y + j, m, n); break;
+    case 2: acc_panel_avx2<2>(x, xr, xi, a + j, y + j, ldy, k, m, n); break;
+    case 1: acc_panel_avx2<1>(x, xr, xi, a + j, y + j, ldy, k, m, n); break;
     default: break;
   }
   j += (n - j) / 4 * 4;
   for (; j < n; ++j) {
-    double s = y[j];
-    for (std::size_t i = 0; i < m; ++i) s = std::fma(x[i], a[i * n + j], s);
-    y[j] = s;
+    for (std::size_t r = 0; r < k; ++r) {
+      double s = y[r * ldy + j];
+      for (std::size_t i = 0; i < m; ++i)
+        s = std::fma(x[r * xr + i * xi], a[i * n + j], s);
+      y[r * ldy + j] = s;
+    }
   }
+}
+
+// The generic loop four lanes at a time.  The target has no "fma", so the
+// compiler cannot contract a product into the following add: every lane
+// rounds exactly where the scalar loop does, and the tail runs that loop.
+__attribute__((target("avx2"))) void adam_avx2(double* value, double* grad,
+                                               double* m, double* v,
+                                               std::size_t n,
+                                               const AdamCoeffs& c) {
+  const __m256d scale = _mm256_set1_pd(c.grad_scale);
+  const __m256d b1 = _mm256_set1_pd(c.beta1);
+  const __m256d b2 = _mm256_set1_pd(c.beta2);
+  const __m256d c1 = _mm256_set1_pd(1.0 - c.beta1);
+  const __m256d c2 = _mm256_set1_pd(1.0 - c.beta2);
+  const __m256d bc1 = _mm256_set1_pd(c.bc1);
+  const __m256d bc2 = _mm256_set1_pd(c.bc2);
+  const __m256d lr = _mm256_set1_pd(c.lr);
+  const __m256d eps = _mm256_set1_pd(c.eps);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d g = _mm256_mul_pd(_mm256_loadu_pd(grad + i), scale);
+    const __m256d mi = _mm256_add_pd(_mm256_mul_pd(b1, _mm256_loadu_pd(m + i)),
+                                     _mm256_mul_pd(c1, g));
+    const __m256d vi =
+        _mm256_add_pd(_mm256_mul_pd(b2, _mm256_loadu_pd(v + i)),
+                      _mm256_mul_pd(_mm256_mul_pd(c2, g), g));
+    _mm256_storeu_pd(m + i, mi);
+    _mm256_storeu_pd(v + i, vi);
+    const __m256d step = _mm256_div_pd(
+        _mm256_mul_pd(lr, _mm256_div_pd(mi, bc1)),
+        _mm256_add_pd(_mm256_sqrt_pd(_mm256_div_pd(vi, bc2)), eps));
+    _mm256_storeu_pd(value + i, _mm256_sub_pd(_mm256_loadu_pd(value + i),
+                                              step));
+    _mm256_storeu_pd(grad + i, _mm256_setzero_pd());
+  }
+  adam_generic(value, grad, m, v, i, n, c);
 }
 
 __attribute__((target("avx2,fma"))) void pairwise_rows_avx2(
@@ -1005,6 +989,24 @@ __attribute__((target("avx2,fma"))) double exp_scale_dot_avx2(
 
 }  // namespace
 
+namespace engine {
+
+void gemm_acc_generic(const double* x, std::size_t ldx, const double* a,
+                      double* y, std::size_t ldy, std::size_t k,
+                      std::size_t m, std::size_t n) {
+  acc_rows_generic(x, ldx, 1, a, y, ldy, k, m, n);
+}
+
+#if YOSO_KERNELS_X86
+void gemm_acc_avx2(const double* x, std::size_t ldx, const double* a,
+                   double* y, std::size_t ldy, std::size_t k, std::size_t m,
+                   std::size_t n) {
+  acc_rows_avx2(x, ldx, 1, a, y, ldy, k, m, n);
+}
+#endif
+
+}  // namespace engine
+
 // --- public drivers --------------------------------------------------------
 
 std::string active_isa() { return use_avx2() ? "avx2+fma" : "generic"; }
@@ -1115,29 +1117,52 @@ void gemm_atb_acc(const double* a, const double* b, double* c, std::size_t m,
   if (k == 0 || n == 0 || m == 0) return;
   YOSO_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
                "kernels::gemm_atb_acc: null operand");
+  // Row t of C accumulates column t of A (X(t, i) = a[i k + t]) times B.
   for_row_blocks(pool, k, [&](std::size_t t0, std::size_t t1) {
 #if YOSO_KERNELS_X86
     if (use_avx2()) {
-      datb_rows_avx2(a, b, c, t0, t1, m, k, n);
+      acc_rows_avx2(a + t0, 1, k, b, c + t0 * n, n, t1 - t0, m, n);
       return;
     }
 #endif
-    datb_rows_generic(a, b, c, t0, t1, m, k, n);
+    acc_rows_generic(a + t0, 1, k, b, c + t0 * n, n, t1 - t0, m, n);
   });
+}
+
+void gemm_acc(const double* x, std::size_t ldx, const double* a, double* y,
+              std::size_t ldy, std::size_t k, std::size_t m, std::size_t n) {
+  if (k == 0 || m == 0 || n == 0) return;
+  YOSO_REQUIRE(a != nullptr && x != nullptr && y != nullptr,
+               "kernels::gemm_acc: null operand");
+  YOSO_REQUIRE(ldx >= m && ldy >= n, "kernels::gemm_acc: row strides (",
+               ldx, ", ", ldy, ") shorter than rows (", m, ", ", n, ")");
+#if YOSO_KERNELS_X86
+  if (use_avx2()) {
+    engine::gemm_acc_avx2(x, ldx, a, y, ldy, k, m, n);
+    return;
+  }
+#endif
+  engine::gemm_acc_generic(x, ldx, a, y, ldy, k, m, n);
 }
 
 void gemv_t_acc(const double* a, const double* x, double* y, std::size_t m,
                 std::size_t n) {
-  if (m == 0 || n == 0) return;
-  YOSO_REQUIRE(a != nullptr && x != nullptr && y != nullptr,
-               "kernels::gemv_t_acc: null operand");
+  gemm_acc(x, m, a, y, n, 1, m, n);
+}
+
+void adam_update(double* value, double* grad, double* m, double* v,
+                 std::size_t n, const AdamCoeffs& c) {
+  if (n == 0) return;
+  YOSO_REQUIRE(value != nullptr && grad != nullptr && m != nullptr &&
+                   v != nullptr,
+               "kernels::adam_update: null operand");
 #if YOSO_KERNELS_X86
   if (use_avx2()) {
-    gemv_t_acc_avx2(a, x, y, m, n);
+    adam_avx2(value, grad, m, v, n, c);
     return;
   }
 #endif
-  gemv_t_acc_generic(a, x, y, m, n);
+  adam_generic(value, grad, m, v, 0, n, c);
 }
 
 PackedRows pack_rows(const double* src, std::size_t rows, std::size_t dim) {

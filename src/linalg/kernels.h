@@ -42,9 +42,17 @@ void gemm(const double* a, const double* b, double* c, std::size_t m,
 void gemv(const double* a, const double* x, double* y, std::size_t m,
           std::size_t n);
 
-/// y (n) += A^T x where A is (m x n): every y[j] accumulates x[i] * A(i, j)
-/// over i in order, one chain per element, so the result for column j never
-/// depends on n or on how the columns are vectorised.
+/// Y (k x n) += X (k x m) * A (m x n), X and Y rows at strides ldx >= m
+/// and ldy >= n: every Y(r, j) accumulates X(r, i) * A(i, j) over i in
+/// order, one chain per element, so row r never depends on k, on the other
+/// rows or on how the columns are vectorised.  k rows in one call are
+/// therefore bit-identical to k gemv_t_acc calls, but each column panel of
+/// A is streamed from memory once for all of them (the controller's
+/// lockstep round).
+void gemm_acc(const double* x, std::size_t ldx, const double* a, double* y,
+              std::size_t ldy, std::size_t k, std::size_t m, std::size_t n);
+
+/// y (n) += A^T x where A is (m x n): gemm_acc with one row.
 void gemv_t_acc(const double* a, const double* x, double* y, std::size_t m,
                 std::size_t n);
 
@@ -68,10 +76,9 @@ void sgemm_atb_acc(const float* a, const float* b, float* c, std::size_t m,
                    std::size_t k, std::size_t n, ThreadPool* pool = nullptr);
 
 /// C (k x n) += A^T * B where A is (m x k), B is (m x n): the double
-/// precision twin of sgemm_atb_acc (a sum of m outer products in one pass
-/// over C).  Each C element accumulates over i in order, with C reloaded
-/// once per fixed-size i-block, so the result is bit-identical at any
-/// thread count.
+/// precision twin of sgemm_atb_acc, and gemm_acc with X = A^T (the same
+/// engine reads X column-wise).  Each C element accumulates over i in
+/// order, so the result is bit-identical at any thread count.
 void gemm_atb_acc(const double* a, const double* b, double* c, std::size_t m,
                   std::size_t k, std::size_t n, ThreadPool* pool = nullptr);
 
@@ -111,6 +118,40 @@ void exp_scale(const double* in, double* out, std::size_t n, double scale,
 /// contribution = K*(row) . alpha.
 double exp_scale_dot(const double* in, double* out, const double* w,
                      std::size_t n, double scale, double mult);
+
+/// Coefficients of one Adam step: bc1 / bc2 are the bias corrections
+/// 1 - beta^t, grad_scale the gradient-clipping factor (1 when unclipped).
+struct AdamCoeffs {
+  double lr = 0.0;
+  double grad_scale = 1.0;
+  double beta1 = 0.9;
+  double beta2 = 0.999;
+  double eps = 1e-8;
+  double bc1 = 1.0;
+  double bc2 = 1.0;
+};
+
+/// One fused Adam pass over n parameters: g = grad[i] * grad_scale,
+/// m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g, value -=
+/// (lr (m / bc1)) / (sqrt(v / bc2) + eps), then grad[i] = 0.  Every
+/// operation rounds on its own (nothing is contracted into an fma) on both
+/// engines, so the result is the scalar loop's bit for bit.
+void adam_update(double* value, double* grad, double* m, double* v,
+                 std::size_t n, const AdamCoeffs& c);
+
+/// The engine bodies behind gemm_acc, callable directly so that one host
+/// can hold both engines to the same contract.  gemm_acc_avx2 needs
+/// active_isa() == "avx2+fma".
+namespace engine {
+void gemm_acc_generic(const double* x, std::size_t ldx, const double* a,
+                      double* y, std::size_t ldy, std::size_t k,
+                      std::size_t m, std::size_t n);
+#if defined(__x86_64__)
+void gemm_acc_avx2(const double* x, std::size_t ldx, const double* a,
+                   double* y, std::size_t ldy, std::size_t k, std::size_t m,
+                   std::size_t n);
+#endif
+}  // namespace engine
 
 }  // namespace kernels
 }  // namespace yoso

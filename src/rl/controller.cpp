@@ -71,8 +71,6 @@ LstmController::LstmController(std::vector<int> cardinalities,
     head_offset_[t] = head_total_;
     head_total_ += static_cast<std::size_t>(cardinalities_[t]);
   }
-  dh_.assign(h, 0.0);
-  dc_.assign(h, 0.0);
   tanh_c_.assign(h, 0.0);
   start_version();
 }
@@ -133,6 +131,14 @@ void LstmController::cell_forward(std::span<const double> x,
   if (!h_prev.empty())
     kernels::gemv_t_acc(w_h_t_.data(), h_prev.data(), gates.data(), hs,
                         4 * hs);
+  cell_activate(gates, c_prev, c, h);
+}
+
+void LstmController::cell_activate(std::span<double> gates,
+                                   std::span<const double> c_prev,
+                                   std::span<double> c,
+                                   std::span<double> h) const {
+  const std::size_t hs = hidden_;
   // Activations through the vectorised exp: sigmoid(x) = 1 / (1 + e^-x)
   // and tanh(x) = 2 / (1 + e^-2x) - 1.
   kernels::exp_scale(gates.data(), gates.data(), 2 * hs, -1.0, 1.0);
@@ -167,58 +173,90 @@ void LstmController::head_forward(ParamView head_w, ParamView head_b,
   }
 }
 
-Episode LstmController::sample(Rng& rng) {
+void LstmController::sample_round(std::size_t k, Rng& rng,
+                                  std::vector<Episode>& episodes) {
   YOSO_TRACE_SPAN("rl.sample");
-  const std::size_t s = slot_state_.size();
+  YOSO_REQUIRE(k >= 1, "LstmController::sample_round: empty round");
+  const std::size_t s0 = slot_state_.size();
+  const std::size_t slots = s0 + k;
   const std::size_t rows = steps_ + 1;
-  slot_state_.push_back(SlotState::kSampled);
-  if (actions_.size() < slot_state_.size() * steps_) {
-    // Grow the round by one slot; new rows are zero, which is what the
-    // h/c row 0 and g/x row T invariants need.
-    x_.resize(x_.size() + rows * embed_dim_);
-    h_.resize(h_.size() + rows * hidden_);
-    c_.resize(c_.size() + rows * hidden_);
-    g_.resize(g_.size() + rows * 4 * hidden_);
-    probs_.resize(probs_.size() + head_total_);
-    squash_.resize(squash_.size() + head_total_);
-    actions_.resize(actions_.size() + steps_);
+  slot_state_.resize(slots, SlotState::kSampled);
+  if (actions_.size() < slots * steps_) {
+    // Grow the round to `slots`; new rows are zero, which is what the h/c
+    // row 0 and g/x row T invariants need.
+    x_.resize(slots * rows * embed_dim_);
+    h_.resize(slots * rows * hidden_);
+    c_.resize(slots * rows * hidden_);
+    g_.resize(slots * rows * 4 * hidden_);
+    probs_.resize(slots * head_total_);
+    squash_.resize(slots * head_total_);
+    actions_.resize(slots * steps_);
+    advantage_.resize(slots);
+    entropy_weight_.resize(slots);
   }
+  // One uniform per step, drawn in the order k sample() calls draw them.
+  uniforms_.resize(k * steps_);
+  for (double& u : uniforms_) u = rng.uniform();
 
-  Episode ep;
-  ep.actions.resize(steps_);
-  ep.version = version_;
-  ep.slot = s;
-  const std::span<int> acts =
-      std::span<int>(actions_).subspan(s * steps_, steps_);
+  episodes.resize(k);
+  for (std::size_t e = 0; e < k; ++e) {
+    Episode& ep = episodes[e];
+    ep.actions.resize(steps_);
+    ep.log_prob = 0.0;
+    ep.entropy = 0.0;
+    ep.version = version_;
+    ep.slot = s0 + e;
+  }
+  const auto bv = store_.value(b_);
   for (std::size_t t = 0; t < steps_; ++t) {
-    const auto x = x_row(s, t);
-    const auto src = input(t, t == 0 ? 0 : acts[t - 1]);
-    std::copy(src.begin(), src.end(), x.begin());
-    cell_forward(x, t == 0 ? std::span<double>() : h_row(s, t), c_row(s, t),
-                 g_row(s, t), c_row(s, t + 1), h_row(s, t + 1));
-
-    const auto p = head_row(probs_, s, t);
-    head_forward(head_w_[t], head_b_[t], h_row(s, t + 1),
-                 head_row(squash_, s, t), p);
-    // Softmax in place, then the step's entropy.
-    const double zmax = *std::max_element(p.begin(), p.end());
-    double denom = 0.0;
-    for (double& v : p) {
-      v = std::exp(v - zmax);
-      denom += v;
+    for (std::size_t s = s0; s < slots; ++s) {
+      const auto src =
+          input(t, t == 0 ? 0 : actions_[s * steps_ + t - 1]);
+      std::copy(src.begin(), src.end(), x_row(s, t).begin());
+      std::copy(bv.begin(), bv.end(), g_row(s, t).begin());
     }
-    double ent = 0.0;
-    for (double& v : p) {
-      v /= denom;
-      if (v > 0.0) ent -= v * std::log(v);
+    // The round's gate products at step t: k rows at slot stride.
+    kernels::gemm_acc(x_row(s0, t).data(), rows * embed_dim_, w_x_t_.data(),
+                      g_row(s0, t).data(), rows * 4 * hidden_, k, embed_dim_,
+                      4 * hidden_);
+    if (t > 0)
+      kernels::gemm_acc(h_row(s0, t).data(), rows * hidden_, w_h_t_.data(),
+                        g_row(s0, t).data(), rows * 4 * hidden_, k, hidden_,
+                        4 * hidden_);
+    for (std::size_t e = 0; e < k; ++e) {
+      const std::size_t s = s0 + e;
+      cell_activate(g_row(s, t), c_row(s, t), c_row(s, t + 1),
+                    h_row(s, t + 1));
+      const auto p = head_row(probs_, s, t);
+      head_forward(head_w_[t], head_b_[t], h_row(s, t + 1),
+                   head_row(squash_, s, t), p);
+      // Softmax in place, then the step's entropy.
+      const double zmax = *std::max_element(p.begin(), p.end());
+      double denom = 0.0;
+      for (double& v : p) {
+        v = std::exp(v - zmax);
+        denom += v;
+      }
+      double ent = 0.0;
+      for (double& v : p) {
+        v /= denom;
+        if (v > 0.0) ent -= v * std::log(v);
+      }
+      const std::size_t a =
+          Rng::pick_weighted(p.data(), p.size(), uniforms_[e * steps_ + t]);
+      Episode& ep = episodes[e];
+      actions_[s * steps_ + t] = static_cast<int>(a);
+      ep.actions[t] = static_cast<int>(a);
+      ep.log_prob += std::log(std::max(p[a], 1e-300));
+      ep.entropy += ent;
     }
-    const auto a = rng.weighted_index(p.data(), p.size());
-    acts[t] = static_cast<int>(a);
-    ep.actions[t] = static_cast<int>(a);
-    ep.log_prob += std::log(std::max(p[a], 1e-300));
-    ep.entropy += ent;
   }
-  return ep;
+}
+
+Episode LstmController::sample(Rng& rng) {
+  std::vector<Episode> one;
+  sample_round(1, rng, one);
+  return std::move(one.front());
 }
 
 std::span<const double> LstmController::step_probs(const Episode& episode,
@@ -261,7 +299,6 @@ std::vector<int> LstmController::argmax_actions() {
 
 void LstmController::accumulate_gradient(const Episode& ep, double advantage,
                                          double entropy_weight) {
-  YOSO_TRACE_SPAN("rl.backward");
   YOSO_REQUIRE(ep.version == version_,
                "LstmController::accumulate_gradient: episode sampled at "
                "policy version ",
@@ -271,55 +308,70 @@ void LstmController::accumulate_gradient(const Episode& ep, double advantage,
                    slot_state_[ep.slot] == SlotState::kSampled,
                "LstmController::accumulate_gradient: episode already fed "
                "back this round");
-  const std::size_t s = ep.slot;
+  advantage_[ep.slot] = advantage;
+  entropy_weight_[ep.slot] = entropy_weight;
+  slot_state_[ep.slot] = SlotState::kFed;
+}
+
+void LstmController::backward(std::size_t s0, std::size_t s1) {
+  YOSO_TRACE_SPAN("rl.backward");
+  const std::size_t k = s1 - s0;
   const std::size_t h = hidden_;
-  const std::span<const int> acts =
-      std::span<const int>(actions_).subspan(s * steps_, steps_);
+  const std::size_t rows = steps_ + 1;
   const double tc_scale = options_.tanh_constant / options_.temperature;
 
-  std::fill(dh_.begin(), dh_.end(), 0.0);  // dL/dh_t from later steps
-  std::fill(dc_.begin(), dc_.end(), 0.0);  // dL/dc_t from later steps
+  dh_.assign(k * h, 0.0);  // dL/dh_t from later steps, one row per slot
+  dc_.assign(k * h, 0.0);  // dL/dc_t from later steps
   for (std::size_t t = steps_; t-- > 0;) {
-    const auto p = head_row(probs_, s, t);  // becomes dL/du
-    const auto sq = head_row(squash_, s, t);
-    const auto a = static_cast<std::size_t>(acts[t]);
-
-    // dL/dz with L = -advantage * log p(a) - entropy_weight * H, then
-    // through z = C * tanh(u / T).
-    double step_entropy = 0.0;
-    for (double v : p)
-      if (v > 0.0) step_entropy -= v * std::log(v);
-    for (std::size_t k = 0; k < p.size(); ++k) {
-      const double logp = p[k] > 0.0 ? std::log(p[k]) : -700.0;
-      const double dz = advantage * (p[k] - (k == a ? 1.0 : 0.0)) +
-                        entropy_weight * p[k] * (logp + step_entropy);
-      p[k] = dz * tc_scale * (1.0 - sq[k] * sq[k]);
+    for (std::size_t s = s0; s < s1; ++s) {
+      const auto p = head_row(probs_, s, t);  // becomes dL/du
+      const auto sq = head_row(squash_, s, t);
+      const auto a = static_cast<std::size_t>(actions_[s * steps_ + t]);
+      const double advantage = advantage_[s];
+      const double entropy_weight = entropy_weight_[s];
+      // dL/dz with L = -advantage * log p(a) - entropy_weight * H, then
+      // through z = C * tanh(u / T).
+      double step_entropy = 0.0;
+      for (double v : p)
+        if (v > 0.0) step_entropy -= v * std::log(v);
+      for (std::size_t j = 0; j < p.size(); ++j) {
+        const double logp = p[j] > 0.0 ? std::log(p[j]) : -700.0;
+        const double dz = advantage * (p[j] - (j == a ? 1.0 : 0.0)) +
+                          entropy_weight * p[j] * (logp + step_entropy);
+        p[j] = dz * tc_scale * (1.0 - sq[j] * sq[j]);
+      }
     }
-    kernels::gemv_t_acc(store_.value(head_w_[t]).data(), p.data(), dh_.data(),
-                        p.size(), h);
+    kernels::gemm_acc(head_row(probs_, s0, t).data(), head_total_,
+                      store_.value(head_w_[t]).data(), dh_.data(), h, k,
+                      static_cast<std::size_t>(cardinalities_[t]), h);
 
     // LSTM cell backward; the gates row becomes dL/d(pre-activation).
-    const auto g = g_row(s, t);
-    const auto c_prev = c_row(s, t);
-    tanh_into(c_row(s, t + 1), tanh_c_);
-    for (std::size_t i = 0; i < h; ++i) {
-      const double gi = g[i], gf = g[h + i], gg = g[2 * h + i],
-                   go = g[3 * h + i];
-      const double tc = tanh_c_[i];
-      const double dc = dc_[i] + dh_[i] * go * (1.0 - tc * tc);
-      const double do_ = dh_[i] * tc;
-      g[i] = dc * gg * gi * (1.0 - gi);
-      g[h + i] = dc * c_prev[i] * gf * (1.0 - gf);
-      g[2 * h + i] = dc * gi * (1.0 - gg * gg);
-      g[3 * h + i] = do_ * go * (1.0 - go);
-      dc_[i] = dc * gf;
+    for (std::size_t e = 0; e < k; ++e) {
+      const std::size_t s = s0 + e;
+      const auto g = g_row(s, t);
+      const auto c_prev = c_row(s, t);
+      double* dh = dh_.data() + e * h;
+      double* dc = dc_.data() + e * h;
+      tanh_into(c_row(s, t + 1), tanh_c_);
+      for (std::size_t i = 0; i < h; ++i) {
+        const double gi = g[i], gf = g[h + i], gg = g[2 * h + i],
+                     go = g[3 * h + i];
+        const double tc = tanh_c_[i];
+        const double dci = dc[i] + dh[i] * go * (1.0 - tc * tc);
+        const double do_ = dh[i] * tc;
+        g[i] = dci * gg * gi * (1.0 - gi);
+        g[h + i] = dci * c_prev[i] * gf * (1.0 - gf);
+        g[2 * h + i] = dci * gi * (1.0 - gg * gg);
+        g[3 * h + i] = do_ * go * (1.0 - go);
+        dc[i] = dci * gf;
+      }
     }
     std::fill(dh_.begin(), dh_.end(), 0.0);
     if (t > 0)
-      kernels::gemv_t_acc(store_.value(w_h_).data(), g.data(), dh_.data(),
-                          4 * h, h);
+      kernels::gemm_acc(g_row(s0, t).data(), rows * 4 * h,
+                        store_.value(w_h_).data(), dh_.data(), h, k, 4 * h,
+                        h);
   }
-  slot_state_[s] = SlotState::kFed;
 }
 
 void LstmController::fold_round() {
@@ -335,6 +387,7 @@ void LstmController::fold_round() {
     std::size_t s1 = s0;
     while (s1 < slot_state_.size() && slot_state_[s1] == SlotState::kFed)
       ++s1;
+    backward(s0, s1);
     // The run's slots are contiguous, so its n = (s1 - s0)(T + 1) rows are
     // one matrix per cache.  g row t pairs with h row t = h_{t-1} and x row
     // t = x_t, so each weight gradient is one A^T B over every step column
@@ -349,16 +402,28 @@ void LstmController::fold_round() {
     for (std::size_t r = 0; r < n; ++r)
       for (std::size_t i = 0; i < 4 * h; ++i) gb[i] += g[r * 4 * h + i];
     // dL/dx of every step column goes straight into the start vector or
-    // the embedding row its input came from.
+    // the embedding row its input came from.  A slot's T inputs are T
+    // distinct rows (the start vector, then one row of each step's
+    // embedding), so they are gathered into dx_, take one T-row gemm_acc
+    // and are scattered back: each row gets the chain one gemv_t_acc per
+    // step would give it, and slots still accumulate in order.
+    dx_.resize(steps_ * e);
     for (std::size_t s = s0; s < s1; ++s) {
       const int* acts = actions_.data() + s * steps_;
+      auto input_grad = [&](std::size_t t) {
+        return t == 0 ? store_.grad(start_)
+                      : store_.grad(embed_[t]).subspan(
+                            static_cast<std::size_t>(acts[t - 1]) * e, e);
+      };
       for (std::size_t t = 0; t < steps_; ++t) {
-        const auto dst =
-            t == 0 ? store_.grad(start_)
-                   : store_.grad(embed_[t]).subspan(
-                         static_cast<std::size_t>(acts[t - 1]) * e, e);
-        kernels::gemv_t_acc(store_.value(w_x_).data(), g_row(s, t).data(),
-                            dst.data(), 4 * h, e);
+        const auto src = input_grad(t);
+        std::copy(src.begin(), src.end(), dx_.begin() + t * e);
+      }
+      kernels::gemm_acc(g_row(s, 0).data(), 4 * h, store_.value(w_x_).data(),
+                        dx_.data(), e, steps_, 4 * h, e);
+      for (std::size_t t = 0; t < steps_; ++t) {
+        const auto row = std::span<const double>(dx_).subspan(t * e, e);
+        std::copy(row.begin(), row.end(), input_grad(t).begin());
       }
     }
     // Heads: step t's matrix receives one (du, h_t) column per episode.
@@ -416,10 +481,9 @@ void LstmController::update(double lr, double max_grad_norm) {
   YOSO_TRACE_SPAN("rl.adam");
   fold_round();
   const double norm = store_.grad_norm();
-  if (norm > max_grad_norm && norm > 0.0)
-    store_.scale_grad(max_grad_norm / norm);
-  store_.adam_step(lr);
-  store_.zero_grad();
+  store_.adam_step(lr, norm > max_grad_norm && norm > 0.0
+                           ? max_grad_norm / norm
+                           : 1.0);
   start_version();
 }
 

@@ -13,13 +13,20 @@
 // parameters (Eq. 4); the optimiser is Adam (lr 0.0035 in the paper).
 //
 // The update unit is the round: every episode sampled since the last
-// update() belongs to the current policy version, keeps its forward caches
-// in the controller's round buffer, and accumulate_gradient() backprops it
-// through exactly the weights that sampled it.  BPTT only writes each
-// step's gate and head-logit gradients into the buffer; update() folds the
-// weight gradients of all step columns of the round with one GEMM per
-// weight matrix, then takes one clipped Adam step and starts a new version.
-// An episode from an older version is rejected, so a stale gradient is a
+// update() belongs to the current policy version and keeps its forward
+// caches in the controller's round buffer.  sample_round(k) runs k episodes
+// through the LSTM in lockstep, one time step at a time, so each gate
+// product is one k-row kernels::gemm_acc over the weights instead of k
+// matrix-vector products; sample() is the k = 1 round.  The uniforms are
+// drawn up front in episode-major order, so the actions equal those of k
+// sample() calls.  accumulate_gradient() only records the episode's
+// advantage and entropy weight; update() (or gradient()) backprops every
+// contiguous run of fed-back slots in lockstep through exactly the weights
+// that sampled them, folds the weight gradients of all step columns with
+// one GEMM per weight matrix, then takes one clipped Adam step and starts a
+// new version.  Every kernel keeps each element's operation chain, so the
+// results are bit-identical to running the episodes one by one.  An
+// episode from an older version is rejected, so a stale gradient is a
 // ContractViolation rather than a silent error.
 
 #include <cstddef>
@@ -68,11 +75,17 @@ class LstmController {
   /// stamps it on the episode.
   std::uint64_t version() const { return version_; }
 
-  /// Samples one action sequence under the current policy version, keeping
-  /// its caches for a later accumulate_gradient.  Each sample holds a
-  /// round-buffer slot (~(T+1)(E+6H) doubles) until the next update() or
-  /// load(), so the buffer is sized by the largest round, like the live
-  /// episodes it stands for.
+  /// Samples k action sequences in lockstep under the current policy
+  /// version into `episodes` (resized to k), keeping their caches for a
+  /// later accumulate_gradient.  Draws k * num_steps() uniforms first, in
+  /// episode-major order, so the episodes equal those of k sample() calls
+  /// on the same Rng.  Each episode holds a round-buffer slot
+  /// (~(T+1)(E+6H) doubles) until the next update() or load(), so the
+  /// buffer is sized by the largest round, like the live episodes it
+  /// stands for.
+  void sample_round(std::size_t k, Rng& rng, std::vector<Episode>& episodes);
+
+  /// The k = 1 round.
   Episode sample(Rng& rng);
 
   /// Step t's softmax distribution for a sampled, not yet fed-back episode
@@ -83,11 +96,12 @@ class LstmController {
   /// preferred design.
   std::vector<int> argmax_actions();
 
-  /// Accumulates the REINFORCE gradient of
+  /// Adds the REINFORCE gradient of
   ///   L = -(advantage) * log pi(a) - entropy_weight * H(pi)
-  /// for one episode into the pending round.  ContractViolation when the
-  /// episode was sampled before the last update() or has already been fed
-  /// back.
+  /// for one episode to the pending round.  Only records the two weights:
+  /// the backward pass runs in lockstep for the round in gradient() or
+  /// update().  ContractViolation when the episode was sampled before the
+  /// last update() or has already been fed back.
   void accumulate_gradient(const Episode& episode, double advantage,
                            double entropy_weight);
 
@@ -120,13 +134,20 @@ class LstmController {
   void cell_forward(std::span<const double> x, std::span<const double> h_prev,
                     std::span<const double> c_prev, std::span<double> gates,
                     std::span<double> c, std::span<double> h) const;
+  /// The cell after its gate products: activates the pre-activations in
+  /// `gates` in place and writes c = f c_prev + i g and h = o tanh(c).
+  void cell_activate(std::span<double> gates, std::span<const double> c_prev,
+                     std::span<double> c, std::span<double> h) const;
   /// One output head on h, u = head_w h + head_b: writes squash[k] =
   /// tanh(u_k / T) and the logits z[k] = C * squash[k].
   void head_forward(ParamView head_w, ParamView head_b,
                     std::span<const double> h, std::span<double> squash,
                     std::span<double> z) const;
-  /// Folds every fed, not yet folded slot's step columns into the store's
-  /// gradient.
+  /// Backprops slots [s0, s1) in lockstep: overwrites their gate rows with
+  /// dL/d(pre-activation) and their probs_ with dL/du.
+  void backward(std::size_t s0, std::size_t s1);
+  /// Backprops every contiguous run of fed, not yet folded slots and folds
+  /// their step columns into the store's gradient.
   void fold_round();
   /// Empties the round (a new policy version) and rebuilds the transposed
   /// gate weights the forward pass reads.
@@ -178,8 +199,12 @@ class LstmController {
   std::vector<double> x_, h_, c_, g_;
   std::vector<double> probs_, squash_;
   std::vector<int> actions_;
-  // BPTT scratch (H each).
-  std::vector<double> dh_, dc_, tanh_c_;
+  // Per slot: the advantage and entropy weight it was fed back with.
+  std::vector<double> advantage_, entropy_weight_;
+  // Scratch: a round's uniforms (k x T); BPTT's dL/dh and dL/dc (k x H)
+  // and tanh(c_t) (H); one slot's input gradients (T x E).
+  std::vector<double> uniforms_;
+  std::vector<double> dh_, dc_, tanh_c_, dx_;
 };
 
 }  // namespace yoso

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "linalg/kernels.h"
 #include "util/rng.h"
 
 namespace yoso {
@@ -26,18 +27,20 @@ void ParamStore::zero_grad() {
   std::fill(grad_.begin(), grad_.end(), 0.0);
 }
 
-void ParamStore::adam_step(double lr, double beta1, double beta2, double eps) {
+void ParamStore::adam_step(double lr, double grad_scale, double beta1,
+                           double beta2, double eps) {
   ThreadRoleGuard coordinator(role_);
   ++adam_t_;
-  const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(adam_t_));
-  const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(adam_t_));
-  for (std::size_t i = 0; i < value_.size(); ++i) {
-    adam_m_[i] = beta1 * adam_m_[i] + (1.0 - beta1) * grad_[i];
-    adam_v_[i] = beta2 * adam_v_[i] + (1.0 - beta2) * grad_[i] * grad_[i];
-    const double mhat = adam_m_[i] / bc1;
-    const double vhat = adam_v_[i] / bc2;
-    value_[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-  }
+  kernels::AdamCoeffs c;
+  c.lr = lr;
+  c.grad_scale = grad_scale;
+  c.beta1 = beta1;
+  c.beta2 = beta2;
+  c.eps = eps;
+  c.bc1 = 1.0 - std::pow(beta1, static_cast<double>(adam_t_));
+  c.bc2 = 1.0 - std::pow(beta2, static_cast<double>(adam_t_));
+  kernels::adam_update(value_.data(), grad_.data(), adam_m_.data(),
+                       adam_v_.data(), value_.size(), c);
 }
 
 double ParamStore::grad_norm() const {

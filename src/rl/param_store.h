@@ -61,9 +61,11 @@ class ParamStore {
 
   void zero_grad();
 
-  /// Adam update over every parameter; increments the internal step count.
-  void adam_step(double lr, double beta1 = 0.9, double beta2 = 0.999,
-                 double eps = 1e-8);
+  /// One pass over every parameter: scales the gradient by `grad_scale`
+  /// (the clipping factor), applies Adam and zeroes the gradient;
+  /// increments the internal step count.
+  void adam_step(double lr, double grad_scale = 1.0, double beta1 = 0.9,
+                 double beta2 = 0.999, double eps = 1e-8);
 
   /// Global L2 norm of the gradient (for clipping / diagnostics).
   double grad_norm() const;

@@ -1,18 +1,28 @@
 #include "rl/reinforce.h"
 
+#include <utility>
+#include <vector>
+
 #include "obs/metrics.h"
 #include "rl/controller.h"
 #include "util/rng.h"
 
 namespace yoso {
 
-Episode ReinforceTrainer::propose(Rng& rng) {
+void ReinforceTrainer::propose_round(std::size_t k, Rng& rng,
+                                     std::vector<Episode>& episodes) {
   if (pending_ > 0) {
     controller_.update(options_.lr, options_.max_grad_norm);
     pending_ = 0;
     obs::counter_add("rl.updates");
   }
-  return controller_.sample(rng);
+  controller_.sample_round(k, rng, episodes);
+}
+
+Episode ReinforceTrainer::propose(Rng& rng) {
+  std::vector<Episode> one;
+  propose_round(1, rng, one);
+  return std::move(one.front());
 }
 
 void ReinforceTrainer::feedback(const Episode& episode, double reward) {

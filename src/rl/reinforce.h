@@ -5,12 +5,18 @@
 // with a moving-average baseline (variance reduction that "significantly
 // expedites the search") and an entropy bonus.
 //
-// The round is the update unit: feedback() only accumulates the episode's
-// gradient at the parameters that sampled it, and the next propose()
-// applies everything pending as one clipped Adam step.  A caller that
-// proposes k episodes and then feeds all k back (YosoSearch at batch k)
-// gets the true policy gradient of its round; alternating propose and
-// feedback updates after every episode.
+// The round is the update unit: feedback() only records the episode's
+// advantage at the parameters that sampled it, and the next proposal
+// backprops and applies everything pending as one clipped Adam step.  A
+// caller that proposes k episodes with propose_round(k) and then feeds all
+// k back (YosoSearch at batch k) gets the true policy gradient of its
+// round, with the k episodes sampled and backpropagated in lockstep;
+// propose() is the k = 1 round, so k propose() calls give the same
+// episodes and the same update.  Alternating propose and feedback updates
+// after every episode.
+
+#include <cstddef>
+#include <vector>
 
 #include "rl/controller.h"
 #include "util/rng.h"
@@ -34,7 +40,11 @@ class ReinforceTrainer {
         baseline_(options.baseline_decay) {}
 
   /// Applies the pending round's Adam step, if any feedback arrived since
-  /// the last one, then samples one candidate action sequence.
+  /// the last one, then samples k candidate action sequences in lockstep
+  /// into `episodes` (LstmController::sample_round).
+  void propose_round(std::size_t k, Rng& rng, std::vector<Episode>& episodes);
+
+  /// The k = 1 round.
   Episode propose(Rng& rng);
 
   /// Feeds back the reward for an episode of the current round: accumulates

@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -87,14 +88,25 @@ double Rng::normal(double mean, double stddev) {
 std::size_t Rng::weighted_index(const double* weights, std::size_t n) {
   YOSO_REQUIRE(weights != nullptr && n > 0,
                "Rng::weighted_index: empty weights");
+  if (std::all_of(weights, weights + n, [](double w) { return w == 0.0; }))
+    return uniform_index(n);
+  return pick_weighted(weights, n, uniform());
+}
+
+std::size_t Rng::pick_weighted(const double* weights, std::size_t n,
+                               double u) {
+  YOSO_REQUIRE(weights != nullptr && n > 0,
+               "Rng::pick_weighted: empty weights");
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (weights[i] < 0.0)
-      throw std::invalid_argument("Rng::weighted_index: negative weight");
+      throw std::invalid_argument("Rng::pick_weighted: negative weight");
     total += weights[i];
   }
-  if (total <= 0.0) return uniform_index(n);
-  double x = uniform() * total;
+  YOSO_REQUIRE(std::isfinite(total) && total > 0.0,
+               "Rng::pick_weighted: weight total ", total,
+               " is not finite and positive");
+  double x = u * total;
   for (std::size_t i = 0; i < n; ++i) {
     x -= weights[i];
     if (x < 0.0) return i;

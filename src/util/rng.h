@@ -43,11 +43,19 @@ class Rng {
   double normal(double mean, double stddev);
 
   /// Samples an index from an (unnormalised, non-negative) weight vector.
-  /// Falls back to uniform choice when all weights are zero.
+  /// Falls back to uniform choice when all weights are zero; otherwise one
+  /// uniform() draw goes through pick_weighted.
   std::size_t weighted_index(const std::vector<double>& weights) {
     return weighted_index(weights.data(), weights.size());
   }
   std::size_t weighted_index(const double* weights, std::size_t n);
+
+  /// The index one uniform draw `u` in [0, 1) selects from non-negative
+  /// weights: the first i whose running sum passes u * total.  A negative
+  /// weight throws std::invalid_argument; a total that is zero or not
+  /// finite (a NaN or infinite weight) is a ContractViolation.
+  static std::size_t pick_weighted(const double* weights, std::size_t n,
+                                   double u);
 
   /// Fisher-Yates shuffle of an index range [0, n); returns the permutation.
   std::vector<std::size_t> permutation(std::size_t n);

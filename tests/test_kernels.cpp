@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -205,6 +208,112 @@ TEST(KernelsTest, GemvTAccMatchesNaiveAndIgnoresWidth) {
     kernels::gemv_t_acc(narrow.data(), x.data(), yn.data(), m, w);
     for (std::size_t j = 0; j < w; ++j)
       ASSERT_EQ(yn[j], y[j]) << "n=" << n << " col " << j;
+  }
+}
+
+TEST(KernelsTest, GemmAccEqualsRowByRowCallsOnEveryEngine) {
+  // Y += X A over k strided rows must be bit-identical to the k one-row
+  // calls on the same engine (the lockstep controller relies on it), and
+  // the public gemm_acc to k gemv_t_acc calls.  m crosses the AVX2
+  // engine's i-block and n leaves partial panels and scalar columns.
+  using Engine = void (*)(const double*, std::size_t, const double*, double*,
+                          std::size_t, std::size_t, std::size_t, std::size_t);
+  std::vector<std::pair<std::string, Engine>> engines = {
+      {"generic", kernels::engine::gemm_acc_generic}};
+#if defined(__x86_64__)
+  if (kernels::active_isa() == "avx2+fma")
+    engines.emplace_back("avx2+fma", kernels::engine::gemm_acc_avx2);
+#endif
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {3, 5}, {37, 61}, {97, 13}, {120, 484}, {201, 7}, {33, 18}};
+  Rng rng(26);
+  for (const auto& [name, gemm_acc] : engines) {
+    for (std::size_t k = 1; k <= 9; ++k) {
+      for (const auto& [m, n] : shapes) {
+        const std::size_t ldx = m + 3, ldy = n + 2;
+        const auto a = random_vec(rng, m * n);
+        const auto x = random_vec(rng, k * ldx);
+        const auto y0 = random_vec(rng, k * ldy);
+        std::vector<double> got = y0, rows = y0;
+        gemm_acc(x.data(), ldx, a.data(), got.data(), ldy, k, m, n);
+        for (std::size_t r = 0; r < k; ++r)
+          gemm_acc(x.data() + r * ldx, m, a.data(), rows.data() + r * ldy, n,
+                   1, m, n);
+        for (std::size_t r = 0; r < k; ++r) {
+          for (std::size_t j = 0; j < ldy; ++j) {
+            const std::size_t idx = r * ldy + j;
+            ASSERT_EQ(got[idx], rows[idx]) << name << " k=" << k << " m="
+                                           << m << " n=" << n << " (" << r
+                                           << ", " << j << ")";
+            if (j >= n) {
+              ASSERT_EQ(got[idx], y0[idx]) << name << ": wrote past row";
+              continue;
+            }
+            double ref = y0[idx];
+            for (std::size_t i = 0; i < m; ++i)
+              ref += x[r * ldx + i] * a[i * n + j];
+            ASSERT_NEAR(got[idx], ref,
+                        1e-12 * (1.0 + std::abs(ref)) * static_cast<double>(m))
+                << name << " k=" << k << " m=" << m << " n=" << n;
+          }
+        }
+        if (name != kernels::active_isa()) continue;
+        std::vector<double> pub = y0, gemv = y0;
+        kernels::gemm_acc(x.data(), ldx, a.data(), pub.data(), ldy, k, m, n);
+        for (std::size_t r = 0; r < k; ++r)
+          kernels::gemv_t_acc(a.data(), x.data() + r * ldx,
+                              gemv.data() + r * ldy, m, n);
+        ASSERT_EQ(pub, got) << "gemm_acc is not the active engine's body";
+        ASSERT_EQ(gemv, got) << "gemv_t_acc is not gemm_acc's one-row call";
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, GemmAccRejectsShortStrides) {
+  std::vector<double> a(6, 1.0), x(6, 1.0), y(6, 0.0);
+  EXPECT_THROW(kernels::gemm_acc(x.data(), 2, a.data(), y.data(), 3, 2, 3, 2),
+               std::invalid_argument);
+  EXPECT_THROW(kernels::gemm_acc(x.data(), 3, a.data(), y.data(), 1, 2, 3, 2),
+               std::invalid_argument);
+}
+
+TEST(KernelsTest, AdamUpdateMatchesScalarLoopAndZeroesGradient) {
+  // The fused pass must equal the separate clip / Adam / zero loops bit
+  // for bit at every length (vector body and scalar tail), with the
+  // products rounded apart rather than contracted into an fma.
+  Rng rng(27);
+  for (const std::size_t n : {1u, 3u, 4u, 7u, 64u, 1001u}) {
+    auto value = random_vec(rng, n), m = random_vec(rng, n);
+    std::vector<double> v(n);
+    for (double& e : v) e = rng.uniform(0.0, 2.0);
+    auto want_value = value, want_m = m, want_v = v;
+    kernels::AdamCoeffs c;
+    c.lr = 0.0035;
+    c.grad_scale = 0.37;
+    c.bc1 = 1.0 - std::pow(c.beta1, 3.0);
+    c.bc2 = 1.0 - std::pow(c.beta2, 3.0);
+    for (int step = 0; step < 3; ++step) {
+      auto grad = random_vec(rng, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        volatile double g = grad[i] * c.grad_scale;
+        volatile double m1 = c.beta1 * want_m[i];
+        volatile double m2 = (1.0 - c.beta1) * g;
+        want_m[i] = m1 + m2;
+        volatile double v1 = c.beta2 * want_v[i];
+        volatile double v2 = (1.0 - c.beta2) * g;
+        volatile double v3 = v2 * g;
+        want_v[i] = v1 + v3;
+        volatile double num = c.lr * (want_m[i] / c.bc1);
+        want_value[i] -= num / (std::sqrt(want_v[i] / c.bc2) + c.eps);
+      }
+      kernels::adam_update(value.data(), grad.data(), m.data(), v.data(), n,
+                           c);
+      ASSERT_EQ(value, want_value) << "n=" << n << " step " << step;
+      ASSERT_EQ(m, want_m) << "n=" << n;
+      ASSERT_EQ(v, want_v) << "n=" << n;
+      for (double g : grad) ASSERT_EQ(g, 0.0);
+    }
   }
 }
 

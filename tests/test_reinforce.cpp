@@ -101,6 +101,36 @@ TEST(ReinforceTrainer, OneAdamStepPerRound) {
   EXPECT_EQ(adam_steps(ctrl), rounds);
 }
 
+TEST(ReinforceTrainer, ProposeRoundEqualsPerEpisodeProposals) {
+  // YosoSearch proposes a round with propose_round(k); a caller that
+  // proposes the same round one episode at a time must see the same
+  // episodes and end at the same weights.
+  LstmController lc(toy_cards(), {}), pc(toy_cards(), {});
+  ReinforceTrainer lock(lc, {}), per(pc, {});
+  Rng rl(8), rp(8);
+  std::vector<Episode> round;
+  for (const std::size_t k : {8u, 3u, 1u, 8u}) {
+    lock.propose_round(k, rl, round);
+    ASSERT_EQ(round.size(), k);
+    for (std::size_t j = 0; j < k; ++j) {
+      const Episode ep = per.propose(rp);
+      ASSERT_EQ(round[j].actions, ep.actions) << "k=" << k << " j=" << j;
+      ASSERT_EQ(round[j].log_prob, ep.log_prob);
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      double r = 0.0;
+      for (int a : round[j].actions) r += a == 1 ? 1.0 : 0.0;
+      lock.feedback(round[j], r);
+      per.feedback(round[j], r);
+    }
+  }
+  (void)lock.propose(rl);
+  (void)per.propose(rp);
+  const auto a = lc.params().values();
+  const auto b = pc.params().values();
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+}
+
 TEST(ReinforceTrainer, StaleFeedbackRejected) {
   LstmController ctrl(toy_cards(), {});
   ReinforceTrainer trainer(ctrl, {});

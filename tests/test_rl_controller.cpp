@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <vector>
 
 #include "base/contract.h"
 #include "rl/controller.h"
@@ -239,6 +241,87 @@ TEST(Controller, RoundGradientIsSumOfEpisodeGradients) {
   expect_sum({&g0, &g2});
   round.accumulate_gradient(eps[1], adv[1], 1e-2);
   expect_sum({&g0, &g1, &g2});
+}
+
+ControllerOptions lockstep_options() {
+  ControllerOptions opt;
+  opt.hidden_size = 24;
+  opt.embed_size = 8;
+  opt.seed = 31;
+  return opt;
+}
+
+std::vector<int> lockstep_cards() { return {2, 3, 4, 6, 5, 7, 3}; }
+
+TEST(Controller, SampleRoundEqualsSequentialSamples) {
+  // k episodes stepped in lockstep must be exactly the k episodes that k
+  // sample() calls draw from the same Rng state: actions, log-probs,
+  // entropies and every step distribution, bit for bit, in a fresh round
+  // and in a reused one after an update.
+  for (const std::size_t k : {1u, 2u, 5u, 8u, 13u}) {
+    LstmController lock(lockstep_cards(), lockstep_options());
+    LstmController seq(lockstep_cards(), lockstep_options());
+    Rng rl(100 + k), rs(100 + k);
+    for (int round = 0; round < 2; ++round) {
+      std::vector<Episode> eps;
+      lock.sample_round(k, rl, eps);
+      ASSERT_EQ(eps.size(), k);
+      for (std::size_t e = 0; e < k; ++e) {
+        const Episode want = seq.sample(rs);
+        const Episode& got = eps[e];
+        ASSERT_EQ(got.actions, want.actions) << "k=" << k << " e=" << e;
+        ASSERT_EQ(got.log_prob, want.log_prob) << "k=" << k << " e=" << e;
+        ASSERT_EQ(got.entropy, want.entropy) << "k=" << k << " e=" << e;
+        ASSERT_EQ(got.slot, want.slot);
+        for (int t = 0; t < lock.num_steps(); ++t) {
+          const auto pg = lock.step_probs(got, t);
+          const auto pw = seq.step_probs(want, t);
+          ASSERT_TRUE(std::equal(pg.begin(), pg.end(), pw.begin(), pw.end()))
+              << "k=" << k << " e=" << e << " t=" << t;
+        }
+        lock.accumulate_gradient(got, 0.5 - 0.1 * static_cast<double>(e),
+                                 1e-2);
+        seq.accumulate_gradient(want, 0.5 - 0.1 * static_cast<double>(e),
+                                1e-2);
+      }
+      ASSERT_EQ(rl.next_u64(), rs.next_u64()) << "k=" << k;
+      lock.update(0.01);
+      seq.update(0.01);
+    }
+  }
+}
+
+TEST(Controller, LockstepBackwardIsBitIdenticalToPerEpisode) {
+  // Feeding a round back in a shuffled order and backpropagating it in one
+  // lockstep pass must give exactly the gradient of backpropagating each
+  // episode alone, in slot order (gradient() after every feedback folds a
+  // run of one slot), and exactly the same weights after update().
+  for (const std::size_t k : {2u, 5u, 8u, 13u}) {
+    LstmController lock(lockstep_cards(), lockstep_options());
+    LstmController alone(lockstep_cards(), lockstep_options());
+    Rng rl(7), ra(7), shuffle(k);
+    std::vector<Episode> el, ea;
+    lock.sample_round(k, rl, el);
+    alone.sample_round(k, ra, ea);
+    std::vector<double> adv(k);
+    for (double& a : adv) a = shuffle.uniform(-2.0, 2.0);
+    for (const std::size_t e : shuffle.permutation(k))
+      lock.accumulate_gradient(el[e], adv[e], 3e-2);
+    for (std::size_t e = 0; e < k; ++e) {
+      alone.accumulate_gradient(ea[e], adv[e], 3e-2);
+      (void)alone.gradient();
+    }
+    const auto gl = lock.gradient();
+    const auto ga = alone.gradient();
+    ASSERT_TRUE(std::equal(gl.begin(), gl.end(), ga.begin(), ga.end()))
+        << "k=" << k;
+    lock.update(0.01, 0.5);  // clipped
+    alone.update(0.01, 0.5);
+    const auto vl = lock.params().values();
+    const auto va = alone.params().values();
+    ASSERT_TRUE(std::equal(vl.begin(), vl.end(), va.begin(), va.end()))
+        << "k=" << k;
+  }
 }
 
 TEST(Controller, ParamCountScalesWithSpace) {

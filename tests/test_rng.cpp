@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
+
+#include "base/contract.h"
 
 namespace yoso {
 namespace {
@@ -123,6 +126,35 @@ TEST(Rng, WeightedIndexErrors) {
   Rng rng(1);
   EXPECT_THROW(rng.weighted_index({}), std::invalid_argument);
   EXPECT_THROW(rng.weighted_index({1.0, -0.5}), std::invalid_argument);
+}
+
+TEST(Rng, WeightedIndexRejectsNonFiniteTotal) {
+  // A NaN weight used to make the total NaN, and the pick then fell
+  // through to the last index without a word.
+  Rng rng(41);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(rng.weighted_index({1.0, nan, 2.0}), ContractViolation);
+  EXPECT_THROW(rng.weighted_index({nan}), ContractViolation);
+  EXPECT_THROW(rng.weighted_index({1.0, inf}), ContractViolation);
+  EXPECT_THROW(Rng::pick_weighted(std::vector<double>{0.0, 0.0}.data(), 2,
+                                  0.5),
+               ContractViolation);
+}
+
+TEST(Rng, WeightedIndexIsPickWeightedOfOneDraw) {
+  // The lockstep controller draws its uniforms up front and picks with
+  // pick_weighted; that only replays weighted_index if a pick consumes
+  // exactly one uniform() and maps it the same way.
+  Rng a(43), b(43);
+  const std::vector<double> w = {0.2, 0.0, 1.5, 0.3, 1e-3};
+  for (int i = 0; i < 2000; ++i)
+    ASSERT_EQ(a.weighted_index(w),
+              Rng::pick_weighted(w.data(), w.size(), b.uniform()));
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+  EXPECT_EQ(Rng::pick_weighted(w.data(), w.size(), 0.0), 0u);
+  EXPECT_EQ(Rng::pick_weighted(w.data(), w.size(), std::nextafter(1.0, 0.0)),
+            4u);
 }
 
 TEST(Rng, PermutationIsAPermutation) {

@@ -1,4 +1,9 @@
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 
 #include "accel/simulator.h"
@@ -8,6 +13,7 @@
 #include "core/evaluator.h"
 #include "core/reward.h"
 #include "core/search.h"
+#include "linalg/kernels.h"
 
 namespace yoso {
 namespace {
@@ -144,6 +150,56 @@ TEST_F(SearchTest, RlBeatsRandomOnLateRewards) {
     return acc / static_cast<double>(n);
   };
   EXPECT_GT(tail_mean(rr), tail_mean(rd));
+}
+
+/// FNV-1a over the byte patterns of the values fed to it.
+class Fnv1a {
+ public:
+  void mix(std::uint64_t v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (unsigned char b : bytes) h_ = (h_ ^ b) * 0x100000001b3ull;
+  }
+  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+TEST(YosoSearch, TrajectoryDigestIsPinned) {
+  // Every action the controller proposes at batch 8 (the trace records
+  // each iteration) plus the finalists' fast rewards, over a fixed fitted
+  // evaluator.  Any change to the controller's sampling, its gradient or
+  // its Adam step moves the digest; a speed-only change must leave it
+  // exactly where it is.  The generic kernel engine rounds its products
+  // apart instead of fusing them, so it walks a different trajectory; the
+  // digest is pinned for the avx2+fma engine.
+  if (kernels::active_isa() != "avx2+fma")
+    GTEST_SKIP() << "digest pinned on the avx2+fma kernel engine";
+  const DesignSpace space;
+  const NetworkSkeleton skeleton = default_skeleton();
+  FastEvaluator fast(space, skeleton,
+                     SystolicSimulator({}, SimFidelity::kAnalytical),
+                     FastEvaluatorOptions{.predictor_samples = 150, .seed = 9});
+  SearchOptions opt;
+  opt.iterations = 200;
+  opt.batch_size = 8;
+  opt.top_n = 5;
+  opt.trace_every = 1;
+  opt.reward = balanced_reward();
+  opt.seed = 7;
+  const SearchResult r = YosoSearch(space, opt).run(fast, nullptr);
+  ASSERT_EQ(r.trace.size(), opt.iterations);
+  Fnv1a digest;
+  for (const SearchTracePoint& p : r.trace)
+    for (int a : space.encode(p.candidate))
+      digest.mix(static_cast<std::uint64_t>(a));
+  for (const RankedCandidate& f : r.finalists) digest.mix(f.fast_reward);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(digest.value()));
+  EXPECT_STREQ(hex, "b8413624a876ef97");
 }
 
 TEST(SearchOptionsValidate, AcceptsDefaults) {
