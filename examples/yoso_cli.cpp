@@ -31,7 +31,7 @@
 //                      Perfetto (enables observability for the run)
 //   --save-artifact FILE  after Step 1, save the trained fast evaluator as a
 //                      checksummed binary artifact (docs/ARTIFACTS.md) that
-//                      yoso_serve and --load-artifact can reuse
+//                      --load-artifact can reuse
 //   --load-artifact FILE  restore the fast evaluator from an artifact
 //                      instead of training it, skipping Step-1 sample
 //                      collection entirely (--samples/--predictor/
@@ -40,11 +40,15 @@
 // Either observability flag also prints the per-phase cost table
 // (docs/OBSERVABILITY.md) after the results.
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "accel/area.h"
 #include "accel/rtl_export.h"
@@ -107,6 +111,20 @@ struct CliOptions {
   std::exit(2);
 }
 
+// Parses all of `value` as a T: trailing characters, a sign on an unsigned
+// flag, overflow and a non-finite double are usage errors, never a silently
+// truncated or wrapped value.
+template <typename T>
+T parse_number(const std::string& key, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) usage_error("bad value '" + value + "' for --" + key);
+  return out;
+}
+
 CliOptions parse_args(int argc, char** argv) {
   CliOptions opt;
   std::map<std::string, std::string> kv;
@@ -117,32 +135,32 @@ CliOptions parse_args(int argc, char** argv) {
     kv[key.substr(2)] = argv[++i];
   }
   for (const auto& [key, value] : kv) {
-    try {
-      if (key == "searcher") opt.searcher = value;
-      else if (key == "reward") opt.reward = value;
-      else if (key == "iterations") opt.iterations = std::stoul(value);
-      else if (key == "samples") opt.samples = std::stoul(value);
-      else if (key == "predictor") opt.predictor = value;
-      else if (key == "inducing-points") opt.inducing_points = std::stoul(value);
-      else if (key == "refine-every") opt.refine_every = std::stoul(value);
-      else if (key == "top-n") opt.top_n = std::stoul(value);
-      else if (key == "threads") opt.threads = std::stoul(value);
-      else if (key == "batch") opt.batch = std::stoul(value);
-      else if (key == "seed") opt.seed = std::stoull(value);
-      else if (key == "t-lat") opt.t_lat = std::stod(value);
-      else if (key == "t-eer") opt.t_eer = std::stod(value);
-      else if (key == "trace") opt.trace_file = value;
-      else if (key == "finalists") opt.finalists_file = value;
-      else if (key == "report") opt.report_file = value;
-      else if (key == "rtl") opt.rtl_file = value;
-      else if (key == "metrics-out") opt.metrics_out = value;
-      else if (key == "trace-out") opt.trace_out = value;
-      else if (key == "save-artifact") opt.save_artifact = value;
-      else if (key == "load-artifact") opt.load_artifact = value;
-      else usage_error("unknown flag --" + key);
-    } catch (const std::exception&) {
-      usage_error("bad value '" + value + "' for --" + key);
-    }
+    using Size = std::size_t;
+    if (key == "searcher") opt.searcher = value;
+    else if (key == "reward") opt.reward = value;
+    else if (key == "iterations")
+      opt.iterations = parse_number<Size>(key, value);
+    else if (key == "samples") opt.samples = parse_number<Size>(key, value);
+    else if (key == "predictor") opt.predictor = value;
+    else if (key == "inducing-points")
+      opt.inducing_points = parse_number<Size>(key, value);
+    else if (key == "refine-every")
+      opt.refine_every = parse_number<Size>(key, value);
+    else if (key == "top-n") opt.top_n = parse_number<Size>(key, value);
+    else if (key == "threads") opt.threads = parse_number<Size>(key, value);
+    else if (key == "batch") opt.batch = parse_number<Size>(key, value);
+    else if (key == "seed") opt.seed = parse_number<std::uint64_t>(key, value);
+    else if (key == "t-lat") opt.t_lat = parse_number<double>(key, value);
+    else if (key == "t-eer") opt.t_eer = parse_number<double>(key, value);
+    else if (key == "trace") opt.trace_file = value;
+    else if (key == "finalists") opt.finalists_file = value;
+    else if (key == "report") opt.report_file = value;
+    else if (key == "rtl") opt.rtl_file = value;
+    else if (key == "metrics-out") opt.metrics_out = value;
+    else if (key == "trace-out") opt.trace_out = value;
+    else if (key == "save-artifact") opt.save_artifact = value;
+    else if (key == "load-artifact") opt.load_artifact = value;
+    else usage_error("unknown flag --" + key);
   }
   return opt;
 }

@@ -1,11 +1,10 @@
 #pragma once
 // The one JSON string escaper (RFC 8259 §7) shared by every JSON writer in
-// the tree: metrics and trace export (src/obs), the serving protocol
-// (src/serve) and the bench result files (bench/).  It escapes `"` and `\`,
-// uses the short forms \b \f \n \r \t, and writes every other byte below
-// 0x20 as \u00XX, so a control character in a metric, span or bench name
-// still yields a valid document.  Bytes >= 0x20 (UTF-8 included) pass
-// through unchanged.
+// the tree: metrics and trace export (src/obs) and the bench result files
+// (bench/).  It escapes `"` and `\`, uses the short forms \b \f \n \r \t,
+// and writes every other byte below 0x20 as \u00XX, so a control character
+// in a metric, span or bench name still yields a valid document.  Bytes
+// >= 0x20 (UTF-8 included) pass through unchanged.
 
 #include <string>
 #include <string_view>

@@ -8,8 +8,9 @@
 // (one 32-byte entry per section: id, offset, size, FNV-1a 64 payload
 // checksum), then the 8-byte-aligned payloads.  Sections carry the fitted
 // GP pair of the performance predictor (exact or sparse backend), the
-// accuracy-model parameters, the network skeleton, optional HyperNet
-// weights from src/nn, and — for yoso_serve — a snapshot of the job table.
+// accuracy-model parameters, the network skeleton and optional HyperNet
+// weights from src/nn.  Readers skip section ids they do not know, so a
+// file carrying a newer or retired section still loads.
 //
 // The contract is load-once / verify-by-checksum / fail-loud:
 //
@@ -24,8 +25,8 @@
 //     little-endian bytes and derived structures (packed kernel panels,
 //     training fingerprints) are recomputed by the same deterministic code
 //     fit() runs, so a restored FastEvaluator evaluates bit-identically to
-//     the one that was saved — the property yoso_serve's byte-stable
-//     serving guarantee rests on.
+//     the one that was saved, and a --load-artifact run reproduces the
+//     finalists of the run that saved it.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,7 +55,8 @@ inline constexpr std::uint16_t kArtifactVersionMinor = 0;
 
 /// Section identifiers.  Values are part of the on-disk format and never
 /// reused; docs/ARTIFACTS.md lists them normatively and the docs gate
-/// (tools/yoso_docs_check.py) fails when the two drift apart.
+/// (tools/yoso_docs_check.py) fails when the two drift apart.  0x07 is
+/// retired (a job-table snapshot) and stays reserved.
 enum class ArtifactSection : std::uint32_t {
   kMeta = 0x01,           ///< producer string + free-form note
   kSkeleton = 0x02,       ///< NetworkSkeleton the models were fitted for
@@ -62,7 +64,6 @@ enum class ArtifactSection : std::uint32_t {
   kGpLatency = 0x04,      ///< fitted latency GpRegressorState
   kGpEnergy = 0x05,       ///< fitted energy GpRegressorState
   kHyperNet = 0x06,       ///< materialised PathNetwork parameter tensors
-  kJobState = 0x07,       ///< yoso_serve job-table snapshot
 };
 
 /// FNV-1a 64-bit over `bytes` (the per-section payload checksum).
@@ -163,9 +164,7 @@ class ArtifactReader {
   /// Payload view (valid for the reader's lifetime); ContractViolation when
   /// the section is absent.
   std::span<const std::uint8_t> section(ArtifactSection id) const;
-  /// Section ids in file order (lets yoso_serve's snapshot writer copy
-  /// every section of its source artifact forward verbatim, including ids
-  /// this build does not know).
+  /// Section ids in file order, including ids this build does not know.
   std::vector<std::uint32_t> section_ids() const;
 
   ArtifactReader(ArtifactReader&&) noexcept;
@@ -226,8 +225,8 @@ void save_fast_evaluator(const std::string& path, const FastEvaluator& fast,
 /// on a missing section, checksum failure, version or shape mismatch).
 FastEvaluatorArtifact load_fast_evaluator_artifact(const std::string& path);
 
-/// Same decode from an already-open reader (yoso_serve keeps the reader
-/// mapped for snapshot support and decodes through this).
+/// Same decode from an already-open reader.  Sections with ids it does
+/// not know are ignored.
 FastEvaluatorArtifact decode_fast_evaluator(const ArtifactReader& reader);
 
 /// Rebuilds the evaluator from a decoded bundle.  Evaluations are

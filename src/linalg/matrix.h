@@ -99,11 +99,6 @@ class Cholesky {
   /// result is bit-identical regardless of thread count or call site.
   void rank1_update(std::span<const double> v);
 
-  /// Rewrites the factor in place so it factors A - v v^T.  Throws
-  /// std::runtime_error if the downdated matrix is not positive definite
-  /// (the factor is left in an unspecified state in that case).
-  void rank1_downdate(std::span<const double> v);
-
  private:
   Cholesky() = default;  // from_lower() adopts the factor directly
 

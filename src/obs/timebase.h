@@ -33,9 +33,6 @@ class Stopwatch {
     return static_cast<double>(obs::now_ns() - start_) * 1e-9;
   }
 
-  double elapsed_ms() const { return elapsed_seconds() * 1e3; }
-  double elapsed_us() const { return elapsed_seconds() * 1e6; }
-
  private:
   std::uint64_t start_;
 };

@@ -1,12 +1,13 @@
 // Round-trip and rejection tests for the binary artifact format
 // (core/artifact.h, spec: docs/ARTIFACTS.md).  The load-bearing property is
 // bit-identity: a FastEvaluator restored from an artifact must evaluate
-// EXACTLY like the one that was saved — yoso_serve's byte-stable serving
-// guarantee rests on it — so the comparisons below are EXPECT_EQ on
-// doubles, not near-comparisons.
+// EXACTLY like the one that was saved — a --load-artifact run reproduces
+// the saving run's finalists only because of it — so the comparisons below
+// are EXPECT_EQ on doubles, not near-comparisons.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -41,6 +42,22 @@ void write_file_raw(const std::string& path,
   ASSERT_TRUE(f.good()) << path;
 }
 
+// Pins bit-identical evaluations of `trained` and `restored` over `count`
+// random candidates.
+void expect_same_evaluations(const DesignSpace& space, FastEvaluator& trained,
+                             FastEvaluator& restored, std::uint64_t seed,
+                             int count) {
+  Rng rng(seed);
+  for (int i = 0; i < count; ++i) {
+    const CandidateDesign c = space.random_candidate(rng);
+    const EvalResult a = trained.evaluate(c);
+    const EvalResult b = restored.evaluate(c);
+    EXPECT_EQ(a.accuracy, b.accuracy);
+    EXPECT_EQ(a.latency_ms, b.latency_ms);
+    EXPECT_EQ(a.energy_mj, b.energy_mj);
+  }
+}
+
 // Saves a trained evaluator, loads it back, and pins bit-identical
 // evaluations over a pile of random candidates.
 void expect_round_trip_bit_identical(GpBackend backend) {
@@ -63,16 +80,7 @@ void expect_round_trip_bit_identical(GpBackend backend) {
   EXPECT_EQ(bundle.note, "round-trip");
   EXPECT_EQ(bundle.predictor.latency.backend, backend);
   FastEvaluator restored = make_fast_evaluator(bundle);
-
-  Rng rng(77);
-  for (int i = 0; i < 25; ++i) {
-    const CandidateDesign c = space.random_candidate(rng);
-    const EvalResult a = trained.evaluate(c);
-    const EvalResult b = restored.evaluate(c);
-    EXPECT_EQ(a.accuracy, b.accuracy);
-    EXPECT_EQ(a.latency_ms, b.latency_ms);
-    EXPECT_EQ(a.energy_mj, b.energy_mj);
-  }
+  expect_same_evaluations(space, trained, restored, 77, 25);
   std::remove(path.c_str());
 }
 
@@ -102,7 +110,7 @@ TEST(ArtifactFormat, WriterProducesVerifiableContainer) {
   EXPECT_EQ(meta[0], 1u);
   EXPECT_EQ(meta[2], 3u);
   EXPECT_THROW(reader.section(ArtifactSection::kGpEnergy), ContractViolation);
-  // File-order ids, the snapshot writer's copy-forward contract.
+  // Ids in file order.
   const std::vector<std::uint32_t> ids = reader.section_ids();
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], static_cast<std::uint32_t>(ArtifactSection::kMeta));
@@ -173,6 +181,38 @@ TEST(ArtifactFormat, MissingSectionRejectedOnDecode) {
   writer.add_section(ArtifactSection::kMeta, meta.take());
   const ArtifactReader reader = ArtifactReader::from_bytes(writer.to_bytes());
   EXPECT_THROW(decode_fast_evaluator(reader), ContractViolation);
+}
+
+// An artifact written before section id 0x07 was retired (it then held a
+// job-table snapshot) must still load: the reader verifies the unknown
+// section's checksum, the decoder ignores it, and the restored evaluator
+// scores exactly like the one that was saved.
+TEST(ArtifactFormat, RetiredSectionIdIsIgnoredOnDecode) {
+  DesignSpace space;
+  const NetworkSkeleton skeleton = default_skeleton();
+  SystolicSimulator simulator({}, SimFidelity::kAnalytical);
+  FastEvaluator trained(space, skeleton, simulator,
+                        {.predictor_samples = 80, .seed = 5});
+  const std::string path = temp_path("artifact_retired_section.bin");
+  save_fast_evaluator(path, trained, "test_artifact");
+
+  ArtifactWriter writer;
+  {
+    const ArtifactReader saved = ArtifactReader::from_file(path);
+    for (const std::uint32_t id : saved.section_ids()) {
+      const auto payload = saved.section(static_cast<ArtifactSection>(id));
+      writer.add_section(static_cast<ArtifactSection>(id),
+                         {payload.begin(), payload.end()});
+    }
+  }
+  std::remove(path.c_str());
+  writer.add_section(static_cast<ArtifactSection>(0x07),
+                     {0x11, 0x22, 0x33, 0x44, 0x55});
+
+  const ArtifactReader reader = ArtifactReader::from_bytes(writer.to_bytes());
+  ASSERT_TRUE(reader.has_section(static_cast<ArtifactSection>(0x07)));
+  FastEvaluator restored = make_fast_evaluator(decode_fast_evaluator(reader));
+  expect_same_evaluations(space, trained, restored, 13, 8);
 }
 
 TEST(ArtifactFormat, ByteReaderRejectsTruncatedPayload) {

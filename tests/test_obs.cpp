@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "json_check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "base/contract.h"
@@ -32,41 +33,6 @@ class ObsTest : public ::testing::Test {
     obs::reset_tracing();
   }
 };
-
-// Scans a JSON document with a minimal state machine: strings (with escape
-// handling) are skipped, braces and brackets must nest and balance.  Enough
-// to catch unterminated strings, trailing commas before ']' / '}', and
-// unbalanced structure in the emitted documents.
-void expect_well_formed_json(const std::string& doc) {
-  std::vector<char> stack;
-  bool in_string = false;
-  bool escaped = false;
-  char prev_significant = '\0';
-  for (const char c : doc) {
-    if (in_string) {
-      if (escaped) escaped = false;
-      else if (c == '\\') escaped = true;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': stack.push_back('}'); break;
-      case '[': stack.push_back(']'); break;
-      case '}':
-      case ']':
-        ASSERT_FALSE(stack.empty()) << "unbalanced close in: " << doc;
-        ASSERT_EQ(stack.back(), c) << "mismatched close in: " << doc;
-        ASSERT_NE(prev_significant, ',') << "trailing comma in: " << doc;
-        stack.pop_back();
-        break;
-      default: break;
-    }
-    if (c != ' ' && c != '\n' && c != '\t') prev_significant = c;
-  }
-  EXPECT_FALSE(in_string) << "unterminated string in: " << doc;
-  EXPECT_TRUE(stack.empty()) << "unclosed scope in: " << doc;
-}
 
 TEST_F(ObsTest, DisabledInstrumentsAreNoOps) {
   ASSERT_FALSE(obs::enabled());

@@ -24,13 +24,7 @@ Checks, all tuned to fail loudly in CI rather than guess:
    mention exactly that flag set — no missing flags, no stale ones (a flag
    documented in README but absent from parse_args fails, and vice versa).
 
-5. Serve-op reference.  The operation table fenced by
-   ``<!-- serve-ops:begin -->`` / ``<!-- serve-ops:end -->`` in
-   ``docs/SERVING.md`` must list exactly the handler names registered with
-   ``register_op("...")`` in ``src/serve/server.cpp``.  Skipped when either
-   file is absent (fixture trees).
-
-6. Artifact-section registry.  The id table fenced by
+5. Artifact-section registry.  The id table fenced by
    ``<!-- artifact-sections:begin -->`` / ``<!-- artifact-sections:end -->``
    in ``docs/ARTIFACTS.md`` must list exactly the ``ArtifactSection``
    enumerators of ``src/core/artifact.h`` — names *and* hex ids.  Skipped
@@ -57,8 +51,6 @@ HTML_ANCHOR_RE = re.compile(r"<a\s+(?:name|id)\s*=\s*[\"']([^\"']+)[\"']")
 CLI_KEY_RE = re.compile(r'key == "([a-z][a-z0-9-]*)"')
 HEADER_FLAG_RE = re.compile(r"^//\s+--([a-z][a-z0-9-]*)\b")
 FLAG_TOKEN_RE = re.compile(r"--([a-z][a-z0-9-]*)")
-SERVE_OP_RE = re.compile(r'register_op\("([a-z_]+)"')
-DOC_OP_ROW_RE = re.compile(r"^\|\s*`([a-z_]+)`\s*\|")
 ENUM_SECTION_RE = re.compile(r"^\s*k(\w+)\s*=\s*(0x[0-9a-fA-F]+)\s*,")
 DOC_SECTION_ROW_RE = re.compile(
     r"^\|\s*`(0x[0-9a-fA-F]+)`\s*\|\s*`k(\w+)`\s*\|")
@@ -218,37 +210,6 @@ def marker_region(text: str, name: str) -> str | None:
     return text[begin:end]
 
 
-def check_serve_ops(root: Path) -> list[str]:
-    """docs/SERVING.md's op table vs the register_op() calls in the
-    server.  Skips when either side is absent so fixture trees (and
-    hypothetical serve-less checkouts) stay checkable."""
-    server = root / "src" / "serve" / "server.cpp"
-    doc = root / "docs" / "SERVING.md"
-    if not server.exists() or not doc.exists():
-        return []
-    registered = set(SERVE_OP_RE.findall(server.read_text()))
-    if not registered:
-        return [f"{server.relative_to(root)}: found no register_op(\"...\") "
-                "calls — has the dispatch table been restructured?"]
-    region = marker_region(doc.read_text(), "serve-ops")
-    if region is None:
-        return ["docs/SERVING.md: missing <!-- serve-ops:begin/end --> "
-                "markers around the operation table"]
-    documented = set()
-    for line in region.splitlines():
-        m = DOC_OP_ROW_RE.match(line)
-        if m:
-            documented.add(m.group(1))
-    errors = []
-    for op in sorted(registered - documented):
-        errors.append(f"docs/SERVING.md: op table is missing `{op}` "
-                      "(registered in src/serve/server.cpp)")
-    for op in sorted(documented - registered):
-        errors.append(f"docs/SERVING.md: op table lists `{op}`, which "
-                      "src/serve/server.cpp does not register")
-    return errors
-
-
 def check_artifact_sections(root: Path) -> list[str]:
     """docs/ARTIFACTS.md's section-id registry vs the ArtifactSection enum
     — both the names and the hex ids must agree.  Skips when either side
@@ -298,7 +259,7 @@ def check_artifact_sections(root: Path) -> list[str]:
 
 
 def check_tree(root: Path) -> list[str]:
-    return (check_links(root) + check_flags(root) + check_serve_ops(root) +
+    return (check_links(root) + check_flags(root) +
             check_artifact_sections(root))
 
 

@@ -1166,15 +1166,6 @@ HEAVY_RANGE_FOR_LINE_RE = re.compile(
 #: own queue handshake and the obs registries ARE the locks.
 MUTEX_EXEMPT_PREFIXES = ("src/base/", "src/obs/", "src/util/")
 
-#: the serve control plane is exempt from the whole hot-* family.  It runs
-#: on daemon threads (accept loop, connection handlers, the single job
-#: worker) that sit outside the evaluation pipeline — queue locks and
-#: per-request string building ARE its job — and the name-based call graph
-#: would otherwise pull it into the hot set through pure name collisions
-#: (`submit`, `run`, `stop` collide with ThreadPool/SearchDriver names).
-#: The eval-side code serve drives is still checked in its own files.
-PERF_EXEMPT_PREFIXES = ("src/serve/",)
-
 
 class HotProfile:
     """Tolerant span-cost profile loader.  Accepts the `bench_throughput
@@ -1416,7 +1407,7 @@ def scan_perf(rel, text, clean, clean_lines, ctx, tier):
     fixtures outside the project index classify themselves through their
     own YOSO_TRACE_SPAN roots, merged with the project-wide hot set."""
     norm = rel.replace(os.sep, "/")
-    if not norm.startswith("src/") or norm.startswith(PERF_EXEMPT_PREFIXES):
+    if not norm.startswith("src/"):
         return []
     if tier != "ast":
         return _scan_perf_regex(rel, text, clean_lines)
