@@ -70,6 +70,7 @@
 #include "predictor/gp.h"
 #include "util/exec_context.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -162,6 +163,11 @@ CliOptions parse_args(int argc, char** argv) {
     else if (key == "load-artifact") opt.load_artifact = value;
     else usage_error("unknown flag --" + key);
   }
+  // N threads = the caller + N-1 pool workers.
+  if (opt.threads > ThreadPool::kMaxWorkers + 1)
+    usage_error("--threads " + std::to_string(opt.threads) +
+                " exceeds the limit of " +
+                std::to_string(ThreadPool::kMaxWorkers + 1));
   return opt;
 }
 
@@ -190,7 +196,6 @@ int main(int argc, char** argv) {
   options.reward = pick_reward(cli);
   options.seed = cli.seed;
   options.batch_size = cli.batch;
-  options.observe = observe;
   if (cli.predictor == "exact") options.predictor = GpBackend::kExact;
   else if (cli.predictor == "sparse") options.predictor = GpBackend::kSparse;
   else usage_error("unknown predictor backend '" + cli.predictor + "'");

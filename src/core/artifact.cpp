@@ -1,22 +1,16 @@
 #include "core/artifact.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "arch/network.h"
 #include "base/contract.h"
 #include "core/evaluator.h"
 #include "linalg/matrix.h"
-#include "nn/module.h"
-#include "nn/network.h"
-#include "nn/tensor.h"
 #include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
 #include "surrogate/accuracy_model.h"
@@ -297,70 +291,19 @@ void ArtifactWriter::write_file(const std::string& path) const {
 
 // --- ArtifactReader ----------------------------------------------------------
 
-ArtifactReader::ArtifactReader(ArtifactReader&& other) noexcept
-    : owned_(std::move(other.owned_)),
-      map_addr_(other.map_addr_),
-      map_len_(other.map_len_),
-      version_major_(other.version_major_),
-      version_minor_(other.version_minor_),
-      sections_(std::move(other.sections_)) {
-  other.map_addr_ = nullptr;
-  other.map_len_ = 0;
-}
-
-ArtifactReader& ArtifactReader::operator=(ArtifactReader&& other) noexcept {
-  if (this != &other) {
-    if (map_addr_ != nullptr) ::munmap(map_addr_, map_len_);
-    owned_ = std::move(other.owned_);
-    map_addr_ = other.map_addr_;
-    map_len_ = other.map_len_;
-    version_major_ = other.version_major_;
-    version_minor_ = other.version_minor_;
-    sections_ = std::move(other.sections_);
-    other.map_addr_ = nullptr;
-    other.map_len_ = 0;
-  }
-  return *this;
-}
-
-ArtifactReader::~ArtifactReader() {
-  if (map_addr_ != nullptr) ::munmap(map_addr_, map_len_);
-}
-
 ArtifactReader ArtifactReader::from_file(const std::string& path) {
-  ArtifactReader reader;
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  YOSO_REQUIRE(fd >= 0, "artifact: cannot open '", path, "'");
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    YOSO_REQUIRE(false, "artifact: cannot stat '", path, "' or file empty");
-  }
-  const auto len = static_cast<std::size_t>(st.st_size);
-  void* addr = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps the pages alive
-  if (addr != MAP_FAILED) {
-    reader.map_addr_ = addr;
-    reader.map_len_ = len;
-    try {
-      reader.parse(std::span<const std::uint8_t>(
-          static_cast<const std::uint8_t*>(addr), len));
-    } catch (...) {
-      // ~ArtifactReader on the moved-from local won't run; clean up here.
-      ::munmap(addr, len);
-      reader.map_addr_ = nullptr;
-      throw;
-    }
-    return reader;
-  }
-  // mmap unavailable (exotic filesystem): buffered fallback.
   std::ifstream f(path, std::ios::binary);
   YOSO_REQUIRE(f.good(), "artifact: cannot open '", path, "'");
+  std::error_code ec;
+  const std::uintmax_t len = std::filesystem::file_size(path, ec);
+  YOSO_REQUIRE(!ec && len > 0, "artifact: cannot size '", path,
+               "' or file empty");
+  ArtifactReader reader;
   reader.owned_.resize(len);
   f.read(reinterpret_cast<char*>(reader.owned_.data()),
          static_cast<std::streamsize>(len));
-  YOSO_REQUIRE(f.gcount() == st.st_size, "artifact: short read from '", path,
-               "'");
+  YOSO_REQUIRE(f.gcount() == static_cast<std::streamsize>(len),
+               "artifact: short read from '", path, "'");
   reader.parse(reader.owned_);
   return reader;
 }
@@ -674,47 +617,6 @@ FastEvaluator make_fast_evaluator(const FastEvaluatorArtifact& bundle,
       AccuracyModel(bundle.skeleton, bundle.accuracy_params,
                     bundle.accuracy_seed),
       PerformancePredictor::from_state(bundle.predictor), std::move(exec));
-}
-
-// --- HyperNet weights --------------------------------------------------------
-
-void add_hypernet_section(ArtifactWriter& writer, PathNetwork& net) {
-  std::vector<Param*> params;
-  net.collect_params(params);
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(params.size()));
-  for (const Param* p : params) {
-    YOSO_REQUIRE(p != nullptr, "artifact: null parameter from HyperNet");
-    const std::vector<int>& shape = p->value.shape();
-    w.u32(static_cast<std::uint32_t>(shape.size()));
-    for (int d : shape) w.i32(d);
-    w.f32_vec(p->value.data());
-  }
-  writer.add_section(ArtifactSection::kHyperNet, w.take());
-}
-
-void load_hypernet_section(const ArtifactReader& reader, PathNetwork& net) {
-  std::vector<Param*> params;
-  net.collect_params(params);
-  ByteReader r(reader.section(ArtifactSection::kHyperNet));
-  const std::uint32_t count = r.u32();
-  YOSO_REQUIRE(count == params.size(), "artifact: HyperNet has ",
-               params.size(), " materialised parameters, section holds ",
-               count, " (drive the same paths before loading)");
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Param* p = params[i];
-    YOSO_REQUIRE(p != nullptr, "artifact: null parameter from HyperNet");
-    const std::uint32_t rank = r.u32();
-    std::vector<int> shape(rank);
-    for (std::uint32_t d = 0; d < rank; ++d) shape[d] = r.i32();
-    YOSO_REQUIRE(shape == p->value.shape(),
-                 "artifact: HyperNet parameter ", i, " shape mismatch");
-    const std::vector<float> data = r.f32_vec();
-    YOSO_REQUIRE(data.size() == p->value.numel(),
-                 "artifact: HyperNet parameter ", i, " size mismatch");
-    std::copy(data.begin(), data.end(), p->value.data().begin());
-  }
-  YOSO_REQUIRE(r.done(), "artifact: trailing bytes in HyperNet section");
 }
 
 }  // namespace yoso

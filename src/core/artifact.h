@@ -1,6 +1,6 @@
 #pragma once
-// Binary artifact format: trained Step-1/Step-2 products as checksummed,
-// memory-mapped files (docs/ARTIFACTS.md is the normative byte-level spec;
+// Binary artifact format: the trained Step-1 fast evaluator as a
+// checksummed file (docs/ARTIFACTS.md is the normative byte-level spec;
 // DESIGN.md §17 has the design rationale).
 //
 // A YOSO artifact is a little-endian container: a fixed 32-byte header
@@ -8,16 +8,17 @@
 // (one 32-byte entry per section: id, offset, size, FNV-1a 64 payload
 // checksum), then the 8-byte-aligned payloads.  Sections carry the fitted
 // GP pair of the performance predictor (exact or sparse backend), the
-// accuracy-model parameters, the network skeleton and optional HyperNet
-// weights from src/nn.  Readers skip section ids they do not know, so a
-// file carrying a newer or retired section still loads.
+// accuracy-model parameters and the network skeleton.  Readers skip
+// section ids they do not know, so a file carrying a newer or retired
+// section still loads.
 //
 // The contract is load-once / verify-by-checksum / fail-loud:
 //
-//   * ArtifactReader::from_file memory-maps the file read-only and verifies
-//     the magic, version, both header CRCs and every section's FNV-1a
-//     checksum before handing out a single byte; corruption or a version
-//     mismatch throws ContractViolation, never a partially-decoded model.
+//   * ArtifactReader::from_file reads the file in one buffered read and
+//     verifies the magic, version, both header CRCs and every section's
+//     FNV-1a checksum before handing out a single byte; corruption or a
+//     version mismatch throws ContractViolation, never a partially-decoded
+//     model.
 //   * Decoding validates every cross-field shape contract (via
 //     GpRegressor::from_state etc.), so a structurally valid file with an
 //     inconsistent payload is rejected too.
@@ -44,8 +45,6 @@
 
 namespace yoso {
 
-class PathNetwork;  // nn/network.h (artifact.cpp includes it)
-
 /// File magic: the bytes 'Y' 'A' 'R' 'T' (read as a little-endian u32).
 inline constexpr std::uint32_t kArtifactMagic = 0x54524159u;
 /// Format version.  A major bump breaks compatibility (readers reject);
@@ -55,15 +54,14 @@ inline constexpr std::uint16_t kArtifactVersionMinor = 0;
 
 /// Section identifiers.  Values are part of the on-disk format and never
 /// reused; docs/ARTIFACTS.md lists them normatively and the docs gate
-/// (tools/yoso_docs_check.py) fails when the two drift apart.  0x07 is
-/// retired (a job-table snapshot) and stays reserved.
+/// (tools/yoso_docs_check.py) fails when the two drift apart.  0x06 (HyperNet
+/// weights) and 0x07 (a job-table snapshot) are retired and stay reserved.
 enum class ArtifactSection : std::uint32_t {
   kMeta = 0x01,           ///< producer string + free-form note
   kSkeleton = 0x02,       ///< NetworkSkeleton the models were fitted for
   kAccuracyModel = 0x03,  ///< AccuracyModelParams + residual seed
   kGpLatency = 0x04,      ///< fitted latency GpRegressorState
   kGpEnergy = 0x05,       ///< fitted energy GpRegressorState
-  kHyperNet = 0x06,       ///< materialised PathNetwork parameter tensors
 };
 
 /// FNV-1a 64-bit over `bytes` (the per-section payload checksum).
@@ -147,10 +145,8 @@ class ArtifactWriter {
       sections_;
 };
 
-/// Verifying reader.  from_file memory-maps the artifact read-only (one
-/// load shared by every consumer; falls back to a buffered read where mmap
-/// is unavailable) and checks magic, version, CRCs and every section
-/// checksum up front.
+/// Verifying reader.  from_file reads the artifact into memory and checks
+/// magic, version, CRCs and every section checksum up front.
 class ArtifactReader {
  public:
   static ArtifactReader from_file(const std::string& path);
@@ -167,19 +163,18 @@ class ArtifactReader {
   /// Section ids in file order, including ids this build does not know.
   std::vector<std::uint32_t> section_ids() const;
 
-  ArtifactReader(ArtifactReader&&) noexcept;
-  ArtifactReader& operator=(ArtifactReader&&) noexcept;
+  // A move keeps owned_'s buffer, so the section views stay valid; a copy's
+  // views would point into the original's bytes.
+  ArtifactReader(ArtifactReader&&) = default;
+  ArtifactReader& operator=(ArtifactReader&&) = default;
   ArtifactReader(const ArtifactReader&) = delete;
   ArtifactReader& operator=(const ArtifactReader&) = delete;
-  ~ArtifactReader();
 
  private:
   ArtifactReader() = default;
   void parse(std::span<const std::uint8_t> bytes);
 
-  std::vector<std::uint8_t> owned_;  // from_bytes / mmap fallback
-  void* map_addr_ = nullptr;         // mmap base (null when owned_ backs it)
-  std::size_t map_len_ = 0;
+  std::vector<std::uint8_t> owned_;  // the whole file; sections_ views it
   std::uint16_t version_major_ = 0;
   std::uint16_t version_minor_ = 0;
   // (id, payload view) in file order; lookups scan — section counts are
@@ -233,17 +228,5 @@ FastEvaluatorArtifact decode_fast_evaluator(const ArtifactReader& reader);
 /// bit-identical to the evaluator that was saved.
 FastEvaluator make_fast_evaluator(const FastEvaluatorArtifact& bundle,
                                   ExecContextPtr exec = nullptr);
-
-// --- HyperNet weights --------------------------------------------------------
-
-/// Appends a kHyperNet section holding every parameter tensor `net` has
-/// materialised (shape + raw f32 data, collect_params order).
-void add_hypernet_section(ArtifactWriter& writer, PathNetwork& net);
-
-/// Loads kHyperNet into `net`, which must have materialised the same
-/// parameter list (same count, same shapes — ContractViolation otherwise;
-/// drive the same paths through forward() first, or train the same
-/// schedule).  Restored weights are bit-identical.
-void load_hypernet_section(const ArtifactReader& reader, PathNetwork& net);
 
 }  // namespace yoso

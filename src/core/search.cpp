@@ -105,12 +105,15 @@ void SearchOptions::validate() const {
   YOSO_REQUIRE(refine_every == 0 || predictor == GpBackend::kSparse,
                "SearchOptions: refine_every requires the sparse predictor "
                "backend (the exact GP has no incremental update path)");
+  YOSO_REQUIRE(reward.t_lat_ms > 0 && reward.t_eer_mj > 0,
+               "SearchOptions: reward thresholds t_lat_ms and t_eer_mj must "
+               "be > 0 (got ", reward.t_lat_ms, " ms, ", reward.t_eer_mj,
+               " mJ)");
 }
 
 SearchResult SearchDriver::run(Evaluator& fast, Evaluator* accurate,
                                ExecContextPtr exec) {
   options_.validate();
-  if (options_.observe) obs::set_enabled(true);
   if (exec != nullptr) {
     fast.set_exec_context(exec);
     if (accurate != nullptr) accurate->set_exec_context(exec);

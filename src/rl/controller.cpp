@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "base/contract.h"
@@ -445,36 +443,6 @@ void LstmController::fold_round() {
 std::span<const double> LstmController::gradient() {
   fold_round();
   return store_.grads();
-}
-
-void LstmController::save(std::ostream& os) const {
-  os << "yoso-controller-v1 " << cardinalities_.size();
-  for (int c : cardinalities_) os << " " << c;
-  os << " " << options_.hidden_size << " " << options_.embed_size << "\n";
-  store_.save(os);
-}
-
-void LstmController::load(std::istream& is) {
-  std::string magic;
-  std::size_t steps = 0;
-  if (!(is >> magic >> steps) || magic != "yoso-controller-v1")
-    throw std::invalid_argument("LstmController::load: bad header");
-  if (steps != cardinalities_.size())
-    throw std::invalid_argument(
-        "LstmController::load: action-count mismatch");
-  for (std::size_t i = 0; i < steps; ++i) {
-    int c = 0;
-    if (!(is >> c) || c != cardinalities_[i])
-      throw std::invalid_argument(
-          "LstmController::load: cardinality mismatch at step " +
-          std::to_string(i));
-  }
-  int hidden = 0, embed = 0;
-  if (!(is >> hidden >> embed) || hidden != options_.hidden_size ||
-      embed != options_.embed_size)
-    throw std::invalid_argument("LstmController::load: shape mismatch");
-  store_.load(is);
-  start_version();
 }
 
 void LstmController::update(double lr, double max_grad_norm) {

@@ -31,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -71,8 +70,8 @@ class LstmController {
   int num_steps() const { return static_cast<int>(cardinalities_.size()); }
   std::size_t param_count() const { return store_.size(); }
 
-  /// The policy version: bumped by every update() and load(); sample()
-  /// stamps it on the episode.
+  /// The policy version: set to 1 by the constructor and bumped by every
+  /// update(); sample() stamps it on the episode.
   std::uint64_t version() const { return version_; }
 
   /// Samples k action sequences in lockstep under the current policy
@@ -80,9 +79,8 @@ class LstmController {
   /// later accumulate_gradient.  Draws k * num_steps() uniforms first, in
   /// episode-major order, so the episodes equal those of k sample() calls
   /// on the same Rng.  Each episode holds a round-buffer slot
-  /// (~(T+1)(E+6H) doubles) until the next update() or load(), so the
-  /// buffer is sized by the largest round, like the live episodes it
-  /// stands for.
+  /// (~(T+1)(E+6H) doubles) until the next update(), so the buffer is
+  /// sized by the largest round, like the live episodes it stands for.
   void sample_round(std::size_t k, Rng& rng, std::vector<Episode>& episodes);
 
   /// The k = 1 round.
@@ -116,12 +114,6 @@ class LstmController {
   /// Gradients are clipped to `max_grad_norm`.  Starts a new policy
   /// version: episodes sampled before it can no longer be fed back.
   void update(double lr, double max_grad_norm = 5.0);
-
-  /// Checkpoint the controller (weights + optimiser state).  load() throws
-  /// std::invalid_argument when the checkpoint's action space or sizes do
-  /// not match this controller.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 
  private:
   enum class SlotState : std::uint8_t { kSampled, kFed, kFolded };

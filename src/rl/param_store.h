@@ -11,7 +11,6 @@
 // parallel-region write instead of leaving the rule to review.
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -59,8 +58,6 @@ class ParamStore {
     return value_.size();
   }
 
-  void zero_grad();
-
   /// One pass over every parameter: scales the gradient by `grad_scale`
   /// (the clipping factor), applies Adam and zeroes the gradient;
   /// increments the internal step count.
@@ -69,16 +66,6 @@ class ParamStore {
 
   /// Global L2 norm of the gradient (for clipping / diagnostics).
   double grad_norm() const;
-
-  /// Scales all gradients by `factor`.
-  void scale_grad(double factor);
-
-  /// Serialises values + Adam state (not gradients) as text; enables
-  /// checkpoint/resume of a search.  load() requires the store to have the
-  /// identical layout (same alloc sequence) and throws std::invalid_argument
-  /// on any mismatch or malformed input.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 
  private:
   mutable ThreadRole role_;

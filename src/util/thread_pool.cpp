@@ -113,9 +113,7 @@ ThreadPool::ThreadPool(std::size_t workers)
       obs_busy_ns_(&obs::metrics_registry().counter("pool.worker_busy_ns")),
       obs_idle_ns_(&obs::metrics_registry().counter("pool.worker_idle_ns")),
       obs_depth_(&obs::metrics_registry().gauge("pool.inflight_indices")) {
-  // An absurd worker count is always an upstream bug: the pool is sized from
-  // hardware_concurrency or a small config knob, never from data.
-  YOSO_REQUIRE(workers <= 1024,
+  YOSO_REQUIRE(workers <= kMaxWorkers,
                "ThreadPool: unreasonable worker count ", workers);
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i)
@@ -185,12 +183,10 @@ std::shared_ptr<ThreadPool::Job> ThreadPool::post_job(
     job->owned = std::move(owned);
     job->fn = &job->owned;
   }
-#ifndef YOSO_OBS_DISABLED
   if (obs::enabled()) {
     obs_jobs_->add();
     obs_depth_->set(static_cast<double>(count));
   }
-#endif
   {
     MutexLock lock(mutex_);
     queue_.push_back(job);
@@ -208,9 +204,7 @@ void ThreadPool::finish_job(const std::shared_ptr<Job>& job) {
       break;
     }
   }
-#ifndef YOSO_OBS_DISABLED
   obs_depth_->set(0.0);
-#endif
 }
 
 void ThreadPool::wait_job(Job& job) {
@@ -224,11 +218,9 @@ void ThreadPool::worker_loop(std::size_t slot) {
   std::uint64_t idle_gen = 0;
   for (;;) {
     std::shared_ptr<Job> job;
-#ifndef YOSO_OBS_DISABLED
     // Sentinel 0 = "observability was off when the window opened"; a window
     // that straddles a toggle is simply not recorded.
     const std::uint64_t wait_begin = obs::enabled() ? obs::now_ns() : 0;
-#endif
     // Short spin before committing to a futex sleep: in a pipelined batch
     // the coordinator posts the next job microseconds after the previous
     // one drains.  Pointless (and harmful) when there is only one core.
@@ -253,14 +245,10 @@ void ThreadPool::worker_loop(std::size_t slot) {
         mutex_.wait(wake_);
       }
     }
-#ifndef YOSO_OBS_DISABLED
     if (wait_begin != 0) obs_idle_ns_->add(obs::now_ns() - wait_begin);
     const std::uint64_t run_begin = obs::enabled() ? obs::now_ns() : 0;
-#endif
     run_chunk(this, *job);
-#ifndef YOSO_OBS_DISABLED
     if (run_begin != 0) obs_busy_ns_->add(obs::now_ns() - run_begin);
-#endif
   }
 }
 

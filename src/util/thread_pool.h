@@ -138,10 +138,15 @@ class ThreadPool {
     std::shared_ptr<Job> job_;
   };
 
-  /// Spawns `workers` threads.  Zero is valid: parallel_for then runs on the
-  /// caller only and submit() runs everything inside wait().  A pool sized
-  /// for a total of T compute threads is ThreadPool(T - 1), since the
-  /// caller always participates.
+  /// The most workers a pool may spawn.  An absurd worker count is always
+  /// an upstream bug: the pool is sized from hardware_concurrency or a small
+  /// config knob, never from data.
+  static constexpr std::size_t kMaxWorkers = 1024;
+
+  /// Spawns `workers` threads (at most kMaxWorkers).  Zero is valid:
+  /// parallel_for then runs on the caller only and submit() runs everything
+  /// inside wait().  A pool sized for a total of T compute threads is
+  /// ThreadPool(T - 1), since the caller always participates.
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 

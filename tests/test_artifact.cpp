@@ -15,15 +15,12 @@
 #include <vector>
 
 #include "accel/simulator.h"
-#include "arch/genotype.h"
 #include "arch/network.h"
 #include "base/contract.h"
 #include "core/artifact.h"
 #include "core/design_space.h"
 #include "core/evaluator.h"
 #include "core/reward.h"
-#include "nn/network.h"
-#include "nn/tensor.h"
 #include "predictor/gp.h"
 #include "util/rng.h"
 
@@ -139,7 +136,7 @@ TEST(ArtifactFormat, ChecksumCorruptionRejected) {
   std::vector<std::uint8_t> cut(good.begin(), good.end() - 9);
   EXPECT_THROW(ArtifactReader::from_bytes(std::move(cut)), ContractViolation);
 
-  // And the same through the mmap path.
+  // And the same through from_file.
   const std::string path = temp_path("artifact_corrupt.bin");
   std::vector<std::uint8_t> bad = good;
   bad[good.size() - 8] ^= 0x01;
@@ -183,10 +180,10 @@ TEST(ArtifactFormat, MissingSectionRejectedOnDecode) {
   EXPECT_THROW(decode_fast_evaluator(reader), ContractViolation);
 }
 
-// An artifact written before section id 0x07 was retired (it then held a
-// job-table snapshot) must still load: the reader verifies the unknown
-// section's checksum, the decoder ignores it, and the restored evaluator
-// scores exactly like the one that was saved.
+// An artifact written before section ids 0x06 and 0x07 were retired (they
+// then held HyperNet weights and a job-table snapshot) must still load: the
+// reader verifies each unknown section's checksum, the decoder ignores it,
+// and the restored evaluator scores exactly like the one that was saved.
 TEST(ArtifactFormat, RetiredSectionIdIsIgnoredOnDecode) {
   DesignSpace space;
   const NetworkSkeleton skeleton = default_skeleton();
@@ -206,10 +203,13 @@ TEST(ArtifactFormat, RetiredSectionIdIsIgnoredOnDecode) {
     }
   }
   std::remove(path.c_str());
+  writer.add_section(static_cast<ArtifactSection>(0x06),
+                     {0x01, 0x00, 0x00, 0x00, 0x66});
   writer.add_section(static_cast<ArtifactSection>(0x07),
                      {0x11, 0x22, 0x33, 0x44, 0x55});
 
   const ArtifactReader reader = ArtifactReader::from_bytes(writer.to_bytes());
+  ASSERT_TRUE(reader.has_section(static_cast<ArtifactSection>(0x06)));
   ASSERT_TRUE(reader.has_section(static_cast<ArtifactSection>(0x07)));
   FastEvaluator restored = make_fast_evaluator(decode_fast_evaluator(reader));
   expect_same_evaluations(space, trained, restored, 13, 8);
@@ -241,37 +241,6 @@ TEST(ArtifactCodec, SkeletonRoundTrip) {
   ASSERT_EQ(restored.cells.size(), original.cells.size());
   for (std::size_t i = 0; i < original.cells.size(); ++i)
     EXPECT_EQ(restored.cells[i], original.cells[i]);
-}
-
-TEST(ArtifactHyperNet, WeightsRoundTripBitIdentical) {
-  const NetworkSkeleton skeleton = tiny_skeleton(8, 4);
-  Rng rng(31);
-  const Genotype path = random_genotype(rng);
-  Tensor images({2, 3, 8, 8});
-  for (float& v : images.data()) v = static_cast<float>(rng.normal(0.0, 0.5));
-
-  // Materialise the same parameter set in two nets with different seeds.
-  PathNetwork saved_net(skeleton, 42);
-  PathNetwork loaded_net(skeleton, 9);
-  (void)saved_net.forward(path, images);
-  (void)loaded_net.forward(path, images);
-  saved_net.clear_cache();
-  loaded_net.clear_cache();
-
-  ArtifactWriter writer;
-  add_hypernet_section(writer, saved_net);
-  const ArtifactReader reader = ArtifactReader::from_bytes(writer.to_bytes());
-  load_hypernet_section(reader, loaded_net);
-
-  const Tensor expected = saved_net.forward(path, images);
-  const Tensor actual = loaded_net.forward(path, images);
-  ASSERT_EQ(actual.numel(), expected.numel());
-  for (std::size_t i = 0; i < expected.numel(); ++i)
-    EXPECT_EQ(actual[i], expected[i]);  // bit-identical, not just close
-
-  // A net that materialised a different parameter set is rejected.
-  PathNetwork fresh(skeleton, 1);  // nothing driven: no materialised params
-  EXPECT_THROW(load_hypernet_section(reader, fresh), ContractViolation);
 }
 
 }  // namespace

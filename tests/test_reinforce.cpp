@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,17 +15,10 @@ namespace {
 
 std::vector<int> toy_cards() { return {3, 3, 3, 3, 3, 3}; }
 
-/// Adam steps taken so far, read from the checkpoint header.
+/// Adam steps taken so far: the constructor starts version 1 and each
+/// update() takes one Adam step and starts the next version.
 long long adam_steps(const LstmController& ctrl) {
-  std::stringstream ss;
-  ctrl.save(ss);
-  std::string line, magic;
-  std::getline(ss, line);  // controller header
-  std::size_t n = 0;
-  long long steps = -1;
-  ss >> magic >> n >> steps;
-  EXPECT_EQ(magic, "yoso-paramstore-v1");
-  return steps;
+  return static_cast<long long>(ctrl.version()) - 1;
 }
 
 TEST(ReinforceTrainer, BaselineTracksRewards) {

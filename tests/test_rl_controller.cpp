@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
-#include <sstream>
 #include <vector>
 
 #include "base/contract.h"
@@ -47,10 +46,6 @@ TEST(ParamStore, GradNormAndScale) {
   store.grad(v)[0] = 3.0;
   store.grad(v)[1] = 4.0;
   EXPECT_DOUBLE_EQ(store.grad_norm(), 5.0);
-  store.scale_grad(0.5);
-  EXPECT_DOUBLE_EQ(store.grad_norm(), 2.5);
-  store.zero_grad();
-  EXPECT_DOUBLE_EQ(store.grad_norm(), 0.0);
 }
 
 TEST(Controller, RejectsBadActionSpaces) {
@@ -184,13 +179,6 @@ TEST(Controller, StaleEpisodeRejected) {
   ctrl.update(0.01);
   EXPECT_THROW(ctrl.accumulate_gradient(old, 1.0, 1e-4), ContractViolation);
   EXPECT_THROW((void)ctrl.step_probs(old, 0), ContractViolation);
-  // A checkpoint load changes the weights too, so it also starts a version.
-  const Episode before_load = ctrl.sample(rng);
-  std::stringstream ss;
-  ctrl.save(ss);
-  ctrl.load(ss);
-  EXPECT_THROW(ctrl.accumulate_gradient(before_load, 1.0, 1e-4),
-               ContractViolation);
 }
 
 TEST(Controller, EpisodeFedBackOnlyOnce) {

@@ -224,6 +224,19 @@ TEST(SearchOptionsValidate, RejectsZeroTopN) {
   EXPECT_THROW(opt.validate(), ContractViolation);
 }
 
+TEST(SearchOptionsValidate, RejectsNonPositiveThresholds) {
+  // Eq. 2 divides by both thresholds: zero silently zeroes a term and a
+  // negative one makes the reward non-finite mid-search.
+  for (const double bad : {0.0, -1.0}) {
+    SearchOptions lat;
+    lat.reward.t_lat_ms = bad;
+    EXPECT_THROW(lat.validate(), ContractViolation) << "t_lat_ms " << bad;
+    SearchOptions eer;
+    eer.reward.t_eer_mj = bad;
+    EXPECT_THROW(eer.validate(), ContractViolation) << "t_eer_mj " << bad;
+  }
+}
+
 TEST(SearchOptionsValidate, RunRejectsBadOptionsBeforeTouchingEvaluators) {
   // Every driver funnels through SearchDriver::run(), which validates
   // before proposing anything — the CLI relies on this for its usage error.
